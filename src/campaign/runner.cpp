@@ -2,18 +2,13 @@
 
 #include <filesystem>
 
-#include "campaign/cache.hpp"
-#include "obs/metrics.hpp"
+#include "campaign/cache_index.hpp"
+#include "campaign/scheduler.hpp"
 #include "obs/span.hpp"
-#include "util/annotations.hpp"
-#include "util/json.hpp"
-#include "util/parallel.hpp"
-#include "util/strings.hpp"
 
 namespace dramstress::campaign {
 
 namespace fs = std::filesystem;
-namespace util = dramstress::util;
 
 CampaignRunner::CampaignRunner(CampaignPlan plan,
                                const dram::TechnologyParams& tech,
@@ -27,169 +22,33 @@ CampaignRunner::CampaignRunner(CampaignPlan plan,
 
 CampaignResult CampaignRunner::run() {
   OBS_SPAN("campaign.run");
-  std::error_code ec;
-  fs::create_directories(run_dir_, ec);
-  if (ec)
-    throw ModelError("campaign: cannot create " + run_dir_ + ": " +
-                     ec.message());
-  const std::string journal_path =
-      (fs::path(run_dir_) / "journal.jsonl").string();
+  if (!opt_.resume && fs::exists(fs::path(run_dir_) / "journal.jsonl"))
+    throw ModelError(
+        "campaign: " + run_dir_ +
+        " already holds a journal; pass --resume to continue the "
+        "interrupted run or pick a fresh --out directory");
 
+  SharedCache cache(cache_dir_);
+  SchedulerOptions so;
+  so.workers = opt_.threads;
+  so.fault_injector = opt_.fault_injector;
+  Scheduler scheduler(tech_, &cache, std::move(so));
+  scheduler.submit("campaign-run", plan_, run_dir_, run_dir_);
+  scheduler.wait_finished(run_dir_, 0);
+  const SessionStatus st = scheduler.session(run_dir_).value();
+  if (st.state == "failed") throw ModelError(st.error);
+
+  SessionOutcomes session = scheduler.outcomes(run_dir_).value();
   CampaignResult result;
-  std::map<std::string, JournalEntry> replayed;
-  if (fs::exists(journal_path)) {
-    if (!opt_.resume)
-      throw ModelError(
-          "campaign: " + run_dir_ +
-          " already holds a journal; pass --resume to continue the "
-          "interrupted run or pick a fresh --out directory");
-    replayed = Journal::replay(journal_path, &result.diagnostics);
-  }
-  // Persist the spec next to the journal so `campaign status` (and a
-  // human) can see what the run directory belongs to.
-  write_text_file((fs::path(run_dir_) / "spec.json").string(),
-                  spec_json(plan_.spec));
-
-  ResultCache cache(cache_dir_);
-  Journal journal(journal_path);
-
-  const size_t n = plan_.units.size();
-  result.outcomes.assign(n, UnitOutcome{});
-  std::vector<char> resolved(n, 0);
-  // Guards everything the workers mutate together: the result counters
-  // and diagnostics, the outcome slots, and the computed-unit count.
-  // (Journal::append is internally locked too; taking it under `mu` keeps
-  // the journal order consistent with the counter updates.)
-  util::Mutex mu;
-  int computed = 0;   // units computed (not cached) this run
-
-  const auto run_unit = [&](const WorkUnit& u) {
-    OBS_SPAN("campaign.unit");
-    UnitOutcome out;
-
-    // 1. Dependency gate: a failed or skipped dependency poisons the
-    //    unit; a border that proves there is no fault makes an optimize
-    //    unit futile (optimize_stresses would throw by construction).
-    for (const size_t dep : u.deps) {
-      const UnitOutcome& d = result.outcomes[dep];
-      if (d.status == UnitStatus::Quarantined ||
-          d.status == UnitStatus::Skipped) {
-        out.status = UnitStatus::Skipped;
-        out.error = util::format("dependency %s was %s",
-                                 plan_.units[dep].id.c_str(),
-                                 d.status == UnitStatus::Quarantined
-                                     ? "quarantined"
-                                     : "skipped");
-      }
-    }
-    if (out.status != UnitStatus::Skipped && u.kind == UnitKind::Optimize &&
-        !u.deps.empty()) {
-      const UnitOutcome& b = result.outcomes[u.deps.front()];
-      if (!border_shows_fault(b.payload)) {
-        out.status = UnitStatus::Skipped;
-        out.error =
-            "no detectable fault at this corner (border analysis found "
-            "none), optimization is futile";
-      }
-    }
-    if (out.status == UnitStatus::Skipped) {
-      obs::count("campaign.unit_skipped");
-      util::MutexLock lock(mu);
-      ++result.skipped;
-      result.outcomes[u.index] = std::move(out);
-      return;
-    }
-
-    // 2. A quarantine verdict replayed from the journal is restored
-    //    without re-burning the retry budget.
-    const std::string key_hex = u.key.hex();
-    const auto rep = replayed.find(key_hex);
-    if (rep != replayed.end() && rep->second.status == "quarantined") {
-      out.status = UnitStatus::Quarantined;
-      out.attempts = rep->second.attempts;
-      out.error = rep->second.error;
-      util::MutexLock lock(mu);
-      ++result.quarantined;
-      result.outcomes[u.index] = std::move(out);
-      return;
-    }
-
-    // 3. Content-addressed cache: a hit short-circuits the computation.
-    {
-      verify::VerifyReport local;
-      std::optional<std::string> hit = cache.load(u.key, &local);
-      if (hit.has_value()) {
-        out.status = UnitStatus::Cached;
-        out.payload = std::move(*hit);
-        obs::count("campaign.unit_cached");
-        util::MutexLock lock(mu);
-        result.diagnostics.merge(local);
-        ++result.cached;
-        // Keep the journal a complete completion record without growing
-        // it on every resume: append only if the key is new to it.
-        if (rep == replayed.end())
-          journal.append({u.id, key_hex, "done", 0, ""});
-        result.outcomes[u.index] = std::move(out);
-        return;
-      }
-      if (!local.diagnostics().empty()) {
-        util::MutexLock lock(mu);
-        result.diagnostics.merge(local);
-      }
-    }
-
-    // 4. Compute, with bounded retries (unit_exec.hpp: the retry /
-    //    continuation loop is shared with the service scheduler).
-    out = compute_with_retries(plan_, u, tech_, opt_.fault_injector);
-
-    util::MutexLock lock(mu);
-    result.retried += out.attempts - 1;
-    if (out.status == UnitStatus::Done) {
-      cache.store(u.key, out.payload);
-      journal.append({u.id, key_hex, "done", out.attempts, ""});
-      obs::count("campaign.unit_done");
-      ++result.done;
-    } else {
-      journal.append(
-          {u.id, key_hex, "quarantined", out.attempts, out.error});
-      obs::count("campaign.unit_quarantined");
-      ++result.quarantined;
-    }
-    result.outcomes[u.index] = std::move(out);
-    ++computed;
-    if (opt_.stop_after_units > 0 && computed >= opt_.stop_after_units)
-      throw CampaignInterrupted(util::format(
-          "campaign interrupted after %d computed units (test hook)",
-          computed));
-  };
-
-  // Wave-based DAG execution: each wave runs every unit whose
-  // dependencies are resolved; completing a wave unblocks the next.
-  while (true) {
-    std::vector<size_t> ready;
-    for (size_t i = 0; i < n; ++i) {
-      if (resolved[i]) continue;
-      bool deps_ok = true;
-      for (const size_t dep : plan_.units[i].deps)
-        deps_ok = deps_ok && resolved[dep] != 0;
-      if (deps_ok) ready.push_back(i);
-    }
-    if (ready.empty()) break;
-    util::parallel_for(
-        ready.size(), [&](size_t ri) { run_unit(plan_.units[ready[ri]]); },
-        {.threads = opt_.threads});
-    for (const size_t i : ready) resolved[i] = 1;
-  }
-
-  // 5. Reports (unit_exec.hpp: serialization shared with the service
-  //    scheduler).  report.json holds only inputs-determined content so a
-  //    resumed or differently-threaded run reproduces it byte for byte.
-  result.report_path = (fs::path(run_dir_) / "report.json").string();
-  write_text_file(result.report_path, report_json(plan_, result.outcomes));
-  result.failure_report_path =
-      (fs::path(run_dir_) / "failures.json").string();
-  write_text_file(result.failure_report_path,
-                  failures_json(plan_, result.outcomes));
+  result.outcomes = std::move(session.outcomes);
+  result.diagnostics = std::move(session.diagnostics);
+  result.done = st.done;
+  result.cached = st.cached;
+  result.retried = st.retried;
+  result.quarantined = st.quarantined;
+  result.skipped = st.skipped;
+  result.report_path = st.report_path;
+  result.failure_report_path = st.failure_report_path;
   return result;
 }
 

@@ -1,19 +1,18 @@
-// Campaign executor: runs the plan's unit DAG on the parallel task pool
-// with caching, journaling, bounded retries and quarantine.
+// `dramstress campaign run`: one campaign executed as a single session of
+// the campaign Scheduler (scheduler.hpp), in-process.
 //
-// Execution is wave-based: every unit whose dependencies are resolved runs
-// in the current wave (util::parallel_for over the ready set), then newly
-// unblocked units form the next wave.  Per unit, in order:
-//   1. a quarantine verdict replayed from the journal (--resume) is
-//      restored as-is, without re-burning retries;
-//   2. the content-addressed cache is consulted -- a hit short-circuits
-//      the computation (this is what makes `campaign run` incremental);
-//   3. otherwise the unit is computed with a bounded retry loop: each
-//      retry perturbs the Newton damping (max_step *= damping_backoff)
-//      and relaxes the iteration budget, the classic continuation trick
-//      for a non-converging operating point.  A unit that exhausts its
-//      attempts -- or exceeds the per-unit wall-clock timeout -- is
-//      quarantined into the failure report instead of aborting the run.
+// There is one executor.  The runner builds a SharedCache over the cache
+// directory, starts a Scheduler with `threads` workers, submits the plan
+// once and waits for it; the per-unit pipeline (dependency gates,
+// futile-optimize skips, quarantine restore, cache short-circuit, bounded
+// retries with Newton-damping continuation, quarantine, journaling) is the
+// scheduler's.  A unit starts as soon as its own dependencies resolve, so
+// an optimize unit never waits for unrelated border units.
+//
+// The one difference from the daemon is the --resume gate: the daemon
+// owns its run directories and always resumes an existing journal, while
+// a user-picked `--out` directory that already holds a journal is refused
+// unless `resume` is set.
 //
 // Determinism: report.json contains only inputs-determined content (unit
 // ids, payloads, quarantine reasons) -- no timestamps, no attempt counts,
@@ -36,16 +35,10 @@
 
 namespace dramstress::campaign {
 
-/// Thrown by the stop_after_units test hook to simulate a crash at a
-/// clean journal boundary (real kills are exercised by the CI job).
-struct CampaignInterrupted : Error {
-  using Error::Error;
-};
-
 struct RunnerOptions {
-  /// Worker threads for the unit waves; 0 = util::default_threads().
-  /// Units run their inner sweeps serially, so this is the only
-  /// parallelism level -- no oversubscription.
+  /// Scheduler workers; 0 = util::default_threads().  Units run their
+  /// inner sweeps serially, so this is the only parallelism level -- no
+  /// oversubscription.
   int threads = 0;
   /// Replay an existing journal instead of refusing to reuse the run
   /// directory.
@@ -53,9 +46,6 @@ struct RunnerOptions {
   /// Test hook: invoked before each computation attempt; throwing
   /// simulates that attempt failing (non-convergence, hang, ...).
   std::function<void(const WorkUnit&, int attempt)> fault_injector;
-  /// Test hook: after this many units have been computed and journaled,
-  /// throw CampaignInterrupted (> 0 enables).
-  int stop_after_units = 0;
 };
 
 struct CampaignResult {
@@ -83,8 +73,9 @@ public:
                  RunnerOptions opt);
 
   /// Execute the campaign.  Throws ModelError when the run directory has
-  /// a journal and resume is off; throws CampaignInterrupted from the
-  /// stop_after_units hook.  Unit failures never throw -- they quarantine.
+  /// a journal and resume is off, and when the session fails (a torn
+  /// journal, a full disk, an armed `campaign.unit.journaled` fault).
+  /// Unit failures never throw -- they quarantine.
   CampaignResult run();
 
 private:

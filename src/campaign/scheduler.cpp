@@ -10,7 +10,9 @@
 #include "campaign/spec.hpp"
 #include "campaign/unit_exec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "util/annotations.hpp"
+#include "util/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 
@@ -254,9 +256,8 @@ struct Scheduler::Impl {
     cv_done.notify_all();
   }
 
-  /// All units resolved: serialize the reports (shared with the runner,
-  /// so the bytes match `campaign run` exactly) and mark the session
-  /// finished.
+  /// All units resolved: serialize the reports (campaign/unit_exec.hpp)
+  /// and mark the session finished.
   void finalize_session(const std::shared_ptr<Session>& s) {
     const std::string report = report_json(s->plan, s->outcomes);
     const std::string failures = failures_json(s->plan, s->outcomes);
@@ -274,18 +275,61 @@ struct Scheduler::Impl {
     cv_done.notify_all();
   }
 
-  // --- the per-unit pipeline (mirrors CampaignRunner::run step 1..4) ----
+  // --- the per-unit pipeline --------------------------------------------
+
+  /// Steps 1-2, under the lock.  A failed or skipped dependency poisons
+  /// the unit, and a quarantine verdict replayed from the journal is
+  /// restored without re-burning the retry budget.  An optimize unit that
+  /// passes gets its border payload in `*border`: the futile check parses
+  /// it outside the lock.
+  std::optional<UnitOutcome> gate_locked(const Session& s,
+                                         const WorkUnit& u,
+                                         std::string* border) const
+      DS_REQUIRES(mu) {
+    for (const size_t dep : u.deps) {
+      const UnitStatus st = s.outcomes[dep].status;
+      if (st == UnitStatus::Quarantined || st == UnitStatus::Skipped)
+        return UnitOutcome{UnitStatus::Skipped, 0, "",
+                           util::format("dependency %s was %s",
+                                        s.plan.units[dep].id.c_str(),
+                                        to_string(st))};
+    }
+    const auto rep = s.replayed.find(u.key.hex());
+    if (rep != s.replayed.end() && rep->second.status == "quarantined")
+      return UnitOutcome{UnitStatus::Quarantined, rep->second.attempts, "",
+                         rep->second.error};
+    if (u.kind == UnitKind::Optimize && !u.deps.empty())
+      *border = s.outcomes[u.deps.front()].payload;
+    return std::nullopt;
+  }
+
+  /// Count `out` by status, record it, and write the session's reports
+  /// when it was the last unit.
+  void finish(const std::shared_ptr<Session>& s, size_t i, UnitOutcome out) {
+    switch (out.status) {
+      case UnitStatus::Done: obs::count("campaign.unit_done"); break;
+      case UnitStatus::Cached: obs::count("campaign.unit_cached"); break;
+      case UnitStatus::Quarantined:
+        obs::count("campaign.unit_quarantined");
+        break;
+      case UnitStatus::Skipped: obs::count("campaign.unit_skipped"); break;
+    }
+    bool finalize = false;
+    {
+      util::MutexLock lock(mu);
+      finalize = resolve_locked(s, i, std::move(out));
+    }
+    if (finalize) finalize_session(s);
+  }
 
   void execute(const std::shared_ptr<Session>& s, size_t i) {
+    OBS_SPAN("campaign.unit");
     const WorkUnit& u = s->plan.units[i];
     const std::string key_hex = u.key.hex();
     bool owns_inflight = false;
     try {
-      UnitOutcome out;
-      std::string border_payload;
-      bool check_futile = false;
-      bool resolved_early = false;
-      bool finalize = false;
+      std::optional<UnitOutcome> early;
+      std::string border;
       {
         util::MutexLock lock(mu);
         if (s->failed) {  // aborted while this unit sat in the queue
@@ -294,137 +338,73 @@ struct Scheduler::Impl {
           maybe_finish_failed_locked(s);
           return;
         }
-        // 1. Dependency gate: a failed or skipped dependency poisons the
-        //    unit; a border that proves there is no fault makes an
-        //    optimize unit futile (checked outside the lock below, since
-        //    it parses the border payload).
-        for (const size_t dep : u.deps) {
-          const UnitOutcome& d = s->outcomes[dep];
-          if (d.status == UnitStatus::Quarantined ||
-              d.status == UnitStatus::Skipped) {
-            out.status = UnitStatus::Skipped;
-            out.error = util::format("dependency %s was %s",
-                                     s->plan.units[dep].id.c_str(),
-                                     d.status == UnitStatus::Quarantined
-                                         ? "quarantined"
-                                         : "skipped");
-          }
-        }
-        if (out.status != UnitStatus::Skipped &&
-            u.kind == UnitKind::Optimize && !u.deps.empty()) {
-          border_payload = s->outcomes[u.deps.front()].payload;
-          check_futile = true;
-        }
-        if (out.status == UnitStatus::Skipped) {
-          obs::count("scheduler.unit_skipped");
-          finalize = resolve_locked(s, i, std::move(out));
-          resolved_early = true;
-        } else {
-          // 2. A quarantine verdict replayed from the journal is restored
-          //    without re-burning the retry budget.
-          const auto rep = s->replayed.find(key_hex);
-          if (rep != s->replayed.end() &&
-              rep->second.status == "quarantined") {
-            out.status = UnitStatus::Quarantined;
-            out.attempts = rep->second.attempts;
-            out.error = rep->second.error;
-            obs::count("scheduler.unit_quarantined");
-            finalize = resolve_locked(s, i, std::move(out));
-            resolved_early = true;
-          }
-        }
+        early = gate_locked(*s, u, &border);
       }
-      if (resolved_early) {
-        if (finalize) finalize_session(s);
-        return;
-      }
-      if (check_futile && !border_shows_fault(border_payload)) {
-        out.status = UnitStatus::Skipped;
-        out.error =
-            "no detectable fault at this corner (border analysis found "
-            "none), optimization is futile";
-        {
-          util::MutexLock lock(mu);
-          obs::count("scheduler.unit_skipped");
-          finalize = resolve_locked(s, i, std::move(out));
-        }
-        if (finalize) finalize_session(s);
+      // A border that proves there is no fault makes an optimize unit
+      // futile (optimize_stresses would throw by construction).
+      if (!early.has_value() && !border.empty() &&
+          !border_shows_fault(border))
+        early = UnitOutcome{UnitStatus::Skipped, 0, "",
+                            "no detectable fault at this corner (border "
+                            "analysis found none), optimization is futile"};
+      if (early.has_value()) {
+        finish(s, i, std::move(*early));
         return;
       }
 
       // 3. Shared cache (memory tier, then disk): a hit short-circuits
-      //    the computation without touching the simulator.
-      {
-        verify::VerifyReport local;
-        std::optional<std::string> hit = cache->lookup(u.key, &local);
-        if (hit.has_value()) {
-          out.status = UnitStatus::Cached;
-          out.payload = std::move(*hit);
-          obs::count("scheduler.unit_cached");
-          bool append = false;
-          {
-            util::MutexLock lock(mu);
-            s->diagnostics.merge(local);
-            append = s->replayed.find(key_hex) == s->replayed.end();
-          }
-          // Keep the journal a complete completion record without
-          // growing it on every resume: append only if the key is new.
-          if (append)
-            s->journal->append({u.id, key_hex, "done", 0, ""});
-          {
-            util::MutexLock lock(mu);
-            finalize = resolve_locked(s, i, std::move(out));
-          }
-          if (finalize) finalize_session(s);
-          return;
-        }
-        if (!local.diagnostics().empty()) {
-          util::MutexLock lock(mu);
-          s->diagnostics.merge(local);
-        }
-      }
-
-      // 4. In-flight dedup: if another session's worker is computing
+      //    the computation without touching the simulator.  On a miss,
+      //    4. in-flight dedup: if another session's worker is computing
       //    this key right now, park the unit instead of simulating the
-      //    same work twice; the release re-enqueues it onto the cache
-      //    hit.
+      //    same work twice; the release re-enqueues it onto the cache hit.
+      verify::VerifyReport local;
+      std::optional<std::string> hit = cache->lookup(u.key, &local);
+      bool journal_hit = false;
       {
         util::MutexLock lock(mu);
-        const auto it = inflight.find(key_hex);
-        if (it != inflight.end()) {
-          it->second.emplace_back(s, i);
-          s->state[i] = UnitState::Waiting;
-          --s->running;
-          ++deduplicated;
-          obs::count("scheduler.unit_deduped");
-          return;
+        s->diagnostics.merge(local);
+        if (hit.has_value()) {
+          journal_hit = s->replayed.count(key_hex) == 0;
+        } else {
+          const auto it = inflight.find(key_hex);
+          if (it != inflight.end()) {
+            it->second.emplace_back(s, i);
+            s->state[i] = UnitState::Waiting;
+            --s->running;
+            ++deduplicated;
+            obs::count("scheduler.unit_deduped");
+            return;
+          }
+          inflight[key_hex];
+          owns_inflight = true;
         }
-        inflight[key_hex];
-        owns_inflight = true;
+      }
+      if (hit.has_value()) {
+        // Keep the journal a complete completion record without growing
+        // it on every resume: append only if the key is new to it.
+        if (journal_hit) s->journal->append({u.id, key_hex, "done", 0, ""});
+        finish(s, i, UnitOutcome{UnitStatus::Cached, 0, std::move(*hit), ""});
+        return;
       }
 
-      // 5. Compute, with bounded retries (campaign/unit_exec.hpp: shared
-      //    with the single-process runner).
-      out = compute_with_retries(s->plan, u, tech, opt.fault_injector);
-      if (out.status == UnitStatus::Done) {
-        cache->store(u.key, out.payload);
-        obs::count("scheduler.unit_done");
-      } else {
-        obs::count("scheduler.unit_quarantined");
-      }
+      // 5. Compute, with bounded retries (campaign/unit_exec.hpp).
+      UnitOutcome out =
+          compute_with_retries(s->plan, u, tech, opt.fault_injector);
+      if (out.status == UnitStatus::Done) cache->store(u.key, out.payload);
       s->journal->append({u.id, key_hex,
                           out.status == UnitStatus::Done ? "done"
                                                          : "quarantined",
                           out.attempts, out.error});
-      const int attempts = out.attempts;
+      // A `throw` here aborts the session at a clean journal boundary:
+      // the in-process stand-in for a crash between two units.
+      util::fault::hit("campaign.unit.journaled");
       {
         util::MutexLock lock(mu);
         release_inflight_locked(key_hex);
         owns_inflight = false;
-        s->retried += attempts - 1;
-        finalize = resolve_locked(s, i, std::move(out));
+        s->retried += out.attempts - 1;
       }
-      if (finalize) finalize_session(s);
+      finish(s, i, std::move(out));
     } catch (const std::exception& e) {
       util::MutexLock lock(mu);
       if (owns_inflight) release_inflight_locked(key_hex);
@@ -497,9 +477,9 @@ SessionStatus Scheduler::submit(const std::string& client,
   s->plan = std::move(plan);
   const std::string journal_path =
       (fs::path(run_dir) / "journal.jsonl").string();
-  // The daemon owns its run directories: an existing journal is always
-  // resumed (the single-process runner's --resume gate exists to protect
-  // *user-picked* directories from accidental reuse).
+  // An existing journal is always resumed: the daemon owns its run
+  // directories, and `campaign run` (runner.cpp) applies its --resume
+  // gate to *user-picked* directories before submitting.
   if (fs::exists(journal_path))
     s->replayed = Journal::replay(journal_path, &s->diagnostics);
   s->journal = std::make_unique<Journal>(journal_path);
@@ -566,6 +546,14 @@ SchedulerStatus Scheduler::status() const {
   for (const std::shared_ptr<Session>& s : impl_->sessions)
     st.sessions.push_back(impl_->status_locked(s));
   return st;
+}
+
+std::optional<SessionOutcomes> Scheduler::outcomes(
+    const std::string& id) const {
+  util::MutexLock lock(impl_->mu);
+  const std::shared_ptr<Session> s = impl_->find_locked(id);
+  if (s == nullptr) return std::nullopt;
+  return SessionOutcomes{s->outcomes, s->diagnostics};
 }
 
 bool Scheduler::wait_finished(const std::string& id,

@@ -1,12 +1,15 @@
-// Multi-campaign scheduler: many concurrent campaign sessions multiplexed
-// over one shared worker pool, backed by the shared result cache.
+// Campaign scheduler: the one executor of campaign work-unit DAGs.  Many
+// concurrent campaign sessions are multiplexed over one shared worker
+// pool, backed by the shared result cache.
 //
-// This is the execution core of `dramstress serve` (src/service).  Where
-// CampaignRunner owns one plan and a private thread team, the Scheduler
-// accepts campaign sessions from many clients and lets a fixed pool of
-// workers *steal work across campaigns*: any idle worker takes the next
-// ready unit of whichever session fairness points at, so one client's
-// 3-unit campaign is not starved behind another's 300-unit matrix.
+// Both front ends run on it.  `dramstress serve` (src/service) keeps one
+// Scheduler for the daemon's lifetime and accepts sessions from many
+// clients; `dramstress campaign run` (runner.hpp) starts one in-process
+// for a single session and differs from the daemon only in its --resume
+// gate.  Idle workers *steal work across campaigns*: any idle worker takes
+// the next ready unit of whichever session fairness points at, so one
+// client's 3-unit campaign is not starved behind another's 300-unit
+// matrix, and a unit is ready as soon as its own dependencies resolve.
 //
 // Fairness.  Dispatch is round-robin over *clients* (first-seen order),
 // then round-robin over a client's sessions, then lowest-index ready unit
@@ -21,14 +24,14 @@
 // each waiting session retries it under its own retry policy.
 //
 // Determinism.  The per-unit pipeline (dependency gates, futile-optimize
-// skips, quarantine restore from the journal, bounded retries) and the
-// report serialization are exactly the runner's (campaign/unit_exec.hpp),
-// so a session's report.json is byte-identical to the single-process
-// `campaign run` of the same spec, at any worker count, across
-// kill-and-resume.  A run directory that already holds a journal is
-// always resumed -- the daemon owns its run directories, so resubmitting
-// a spec after a crash (or while it is running: submits are idempotent
-// per session id) continues instead of refusing.
+// skips, quarantine restore from the journal, bounded retries) lives here
+// once, and the unit computation and report serialization are
+// campaign/unit_exec.hpp, so a session's report.json is byte-identical at
+// any worker count, across kill-and-resume, whether `serve` or
+// `campaign run` produced it.  A run directory that already holds a
+// journal is always resumed -- resubmitting a spec after a crash (or
+// while it is running: submits are idempotent per session id) continues
+// instead of refusing.
 //
 // All session state is guarded by the scheduler's single mutex; sessions
 // are internal to the implementation and queried through the status
@@ -43,7 +46,9 @@
 
 #include "campaign/cache_index.hpp"
 #include "campaign/plan.hpp"
+#include "campaign/unit_exec.hpp"
 #include "dram/technology.hpp"
+#include "verify/diagnostic.hpp"
 
 namespace dramstress::campaign {
 
@@ -68,6 +73,13 @@ struct SessionStatus {
   bool finished = false;  // terminal (finished or failed)
 };
 
+/// What one session produced beyond its status counters: the per-unit
+/// outcomes and the journal/cache diagnostics (E310).
+struct SessionOutcomes {
+  std::vector<UnitOutcome> outcomes;  // indexed like plan.units
+  verify::VerifyReport diagnostics;
+};
+
 /// Point-in-time view of the whole scheduler.
 struct SchedulerStatus {
   int workers = 0;
@@ -80,7 +92,8 @@ struct SchedulerStatus {
 struct SchedulerOptions {
   /// Worker threads of the shared pool; 0 = util::default_threads().
   int workers = 0;
-  /// Test hook forwarded to compute_with_retries (see RunnerOptions).
+  /// Test hook forwarded to compute_with_retries: invoked before each
+  /// computation attempt; throwing simulates that attempt failing.
   std::function<void(const WorkUnit&, int attempt)> fault_injector;
 };
 
@@ -107,6 +120,10 @@ public:
   /// Status of one session / all sessions (submission order).
   std::optional<SessionStatus> session(const std::string& id) const;
   SchedulerStatus status() const;
+
+  /// Outcomes and diagnostics of session `id` (nullopt for unknown ids).
+  /// Kept out of SessionStatus, which every status poll copies.
+  std::optional<SessionOutcomes> outcomes(const std::string& id) const;
 
   /// Block until session `id` reaches a terminal state; false on timeout
   /// or unknown id (timeout_s <= 0 waits forever).

@@ -1,14 +1,14 @@
-// Shared per-unit execution and report layer of the campaign subsystem.
+// Shared per-unit computation and report layer of the campaign subsystem.
 //
-// Two executors drive campaign work-unit DAGs: the single-process
-// CampaignRunner (runner.hpp, `dramstress campaign run`) and the service
-// Scheduler (scheduler.hpp, `dramstress serve`) which multiplexes many
-// campaigns over one worker pool.  Their headline contract is shared too:
-// report.json must come out byte-identical whichever executor produced it,
-// at any thread/worker count, across kill-and-resume.  The way to keep
-// that true is to have exactly one implementation of everything the bytes
-// depend on -- the unit computation, the retry/continuation loop, the
-// payload wrapper and the report serialization -- and this header is it.
+// One executor drives campaign work-unit DAGs: the Scheduler
+// (scheduler.hpp), which runs the daemon's sessions (`dramstress serve`)
+// and, as a single in-process session, `dramstress campaign run`
+// (runner.hpp).  Its headline contract: report.json comes out
+// byte-identical whichever front end produced it, at any thread/worker
+// count, across kill-and-resume.  Everything the bytes depend on -- the
+// unit computation, the retry/continuation loop, the payload wrapper and
+// the report serialization -- has exactly one implementation, and this
+// header is it.
 #pragma once
 
 #include <functional>

@@ -4,6 +4,8 @@
 // contracts.  Simulation-heavy cases use the smallest real campaigns
 // (border units of one or two defects); fault paths use the injector hook
 // so they cost no simulation time at all.
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +14,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,7 +23,9 @@
 #include "dram/column.hpp"
 #include "dram/technology.hpp"
 #include "obs/metrics.hpp"
+#include "test_dirs.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/json.hpp"
 
 namespace dramstress {
@@ -51,14 +57,7 @@ CampaignPlan plan_of(const CampaignSpec& spec) {
   return campaign::expand(spec, column);
 }
 
-/// A unique fresh directory under the test temp dir.
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("campaign_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  return p.string();
-}
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
@@ -385,6 +384,56 @@ TEST(CampaignRunnerTest, SkipsFutileOptimizeWhenBorderShowsNoFault) {
   EXPECT_EQ(r.done, 0) << "no simulation should have run";
 }
 
+TEST(CampaignRunnerTest, OptimizeUnitDoesNotWaitForUnrelatedBorders) {
+  const CampaignSpec spec = spec_of(R"({
+    "name": "nobarrier",
+    "defects": ["o3", "sg"],
+    "points": [{"name": "nominal", "vdd": 2.4, "temp_c": 27.0,
+                "tcyc": 60e-9, "duty": 0.5}],
+    "analyses": ["optimize"],
+    "retry": {"max_attempts": 1}
+  })");
+  const CampaignPlan plan = plan_of(spec);
+  ASSERT_EQ(plan.units.size(), 4u);
+  const size_t border_a = 0, optimize_a = 1, border_b = 2;
+  ASSERT_EQ(plan.units[optimize_a].deps, std::vector<size_t>{border_a});
+  ASSERT_EQ(plan.units[border_b].kind, UnitKind::Border);
+  // Defect A's border is served from the cache and shows a fault, so A's
+  // optimize unit is ready at once.  Defect B's border attempt holds its
+  // worker until A's optimize attempt has started: with a barrier between
+  // border and optimize units that never happens.
+  const std::string cache_dir = fresh_dir("nobarrier_cache");
+  campaign::ResultCache(cache_dir).store(
+      plan.units[border_a].key,
+      R"({"br": 1e5, "fault_at_high_r": true, "fails_everywhere": false,
+          "condition": "", "failing_decades": 1})");
+  std::atomic<bool> optimize_started{false};
+  std::atomic<bool> overlapped{false};
+  RunnerOptions opt;
+  opt.threads = 2;
+  opt.fault_injector = [&](const WorkUnit& u, int) {
+    if (u.index == optimize_a) optimize_started = true;
+    if (u.index == border_b) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!optimize_started &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      overlapped = optimize_started.load();
+    }
+    // Every attempt fails: the test needs the schedule, not the results.
+    throw ConvergenceError("injected divergence");
+  };
+  const CampaignResult r =
+      run_campaign(spec, fresh_dir("nobarrier"), cache_dir, opt);
+  EXPECT_TRUE(overlapped)
+      << "A's optimize unit did not start while B's border unit ran";
+  EXPECT_EQ(r.outcomes[border_a].status, UnitStatus::Cached);
+  EXPECT_EQ(r.outcomes[optimize_a].status, UnitStatus::Quarantined);
+  EXPECT_EQ(r.outcomes[border_b].status, UnitStatus::Quarantined);
+  EXPECT_EQ(r.outcomes[3].status, UnitStatus::Skipped);
+}
+
 TEST(CampaignRunnerTest, FreshRunRefusesAnExistingJournal) {
   const std::string out = fresh_dir("refuse");
   fs::create_directories(out);
@@ -443,13 +492,13 @@ TEST(CampaignRunnerTest, KillAndResumeMatchesUninterruptedByteForByte) {
       spec, fresh_dir("kill_base"), fresh_dir("kill_base_cache"));
   EXPECT_EQ(baseline.done, 2);
 
-  // Crash after the first computed unit is journaled.
+  // Crash after the first computed unit is journaled: the armed fault
+  // point aborts the session right after that journal append.
   const std::string out = fresh_dir("kill_run");
   const std::string cache = fresh_dir("kill_cache");
-  RunnerOptions crash;
-  crash.stop_after_units = 1;
-  EXPECT_THROW(run_campaign(spec, out, cache, crash),
-               campaign::CampaignInterrupted);
+  util::fault::arm("campaign.unit.journaled=throw");
+  EXPECT_THROW(run_campaign(spec, out, cache), ModelError);
+  util::fault::disarm();
   const int journaled = count_lines(out + "/journal.jsonl");
   EXPECT_GE(journaled, 1);
 

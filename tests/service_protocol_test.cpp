@@ -18,6 +18,7 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "test_dirs.hpp"
 #include "util/json.hpp"
 #include "verify/diagnostic.hpp"
 
@@ -287,11 +288,7 @@ TEST(ProtocolTest, ErrorBodyCarriesEveryDiagnostic) {
 class LiveServer {
 public:
   LiveServer() {
-    static int counter = 0;
-    const std::string base =
-        ::testing::TempDir() + "/svc_proto_" + std::to_string(counter++);
-    std::filesystem::remove_all(base);
-    std::filesystem::create_directories(base);
+    const std::string base = test::fresh_dir("live");
     service::ServerOptions opt;
     opt.socket_path = base + "/sock";
     opt.runs_dir = base + "/runs";

@@ -28,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "test_dirs.hpp"
 #include "util/json.hpp"
 #include "verify/diagnostic.hpp"
 
@@ -54,14 +55,7 @@ CampaignPlan plan_of(const CampaignSpec& spec) {
   return campaign::expand(spec, column);
 }
 
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("soak_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p.string();
-}
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);

@@ -20,6 +20,7 @@
 #include "campaign/spec.hpp"
 #include "dram/column.hpp"
 #include "dram/technology.hpp"
+#include "test_dirs.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "verify/diagnostic.hpp"
@@ -50,14 +51,7 @@ CampaignPlan plan_of(const CampaignSpec& spec) {
   return campaign::expand(spec, column);
 }
 
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("service_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p.string();
-}
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);

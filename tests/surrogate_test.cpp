@@ -22,6 +22,7 @@
 #include "dram/column_sim.hpp"
 #include "dram/technology.hpp"
 #include "stress/stress.hpp"
+#include "test_dirs.hpp"
 #include "util/json.hpp"
 #include "verify/diagnostic.hpp"
 
@@ -206,13 +207,7 @@ TEST(SurrogateAnalyzeTest, OffSwitchReproducesClassicPathExactly) {
 
 // --- campaign integration ------------------------------------------------
 
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("surrogate_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  return p.string();
-}
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);

@@ -54,6 +54,7 @@
 
 #include "analysis/result_plane.hpp"
 #include "analysis/surrogate_options.hpp"
+#include "campaign/cache_index.hpp"
 #include "campaign/runner.hpp"
 #include "circuit/spice_reader.hpp"  // parse_spice_number
 #include "core/flow.hpp"
@@ -429,8 +430,8 @@ int run_campaign(int argc, char** argv, const EngineFlags& eng) {
       for (const campaign::WorkUnit& u : plan.units)
         live[u.key.hex()] = true;
     }
-    const campaign::ResultCache cache(cache_dir);
-    const int removed = cache.sweep(live);
+    const campaign::SharedCache cache(cache_dir);
+    const int removed = cache.disk().sweep(live);
     std::printf("campaign gc: %d stale objects removed from %s (%zu live)\n",
                 removed, cache_dir.c_str(), live.size());
     return 0;
