@@ -4,14 +4,19 @@
 //  * one Newton-converged transient step of the full column,
 //  * a complete memory operation cycle,
 //  * one Vsa extraction (the inner loop of every result plane),
-//  * generate_plane_set end to end: the seed serial path (1 thread, no Vsa
-//    memoization) vs. the parallel engine (pool + VsaCache),
+//  * the Fig. 2 plane set end to end: the seed serial path (the scalar
+//    engine one point at a time, 1 thread, no Vsa memoization) vs. the
+//    production engine (generate_plane_set: ensemble lanes on the pool +
+//    VsaCache),
 //  * the transient-engine ladder on the Fig. 2 plane workload (1 thread):
-//    seed fixed-dt dense vs fixed-dt sparse vs adaptive (LTE) + sparse vs
-//    the batched ensemble engine (adaptive + sparse + N lanes per solve),
-//  * observability overhead: the adaptive+sparse plane workload with metric
-//    and span collection on vs. suspended (obs::set_collecting); the
-//    acceptance ceiling is <2% overhead,
+//    seed fixed-dt dense vs fixed-dt sparse (both through
+//    generate_plane's per-point loop) vs adaptive (LTE) + sparse one point
+//    at a time (scalar_plane_set, the bench-local reference loop) vs the
+//    batched ensemble engine (adaptive + sparse + N lanes per solve),
+//  * observability overhead: the production plane path (generate_plane_set
+//    with default lanes, 1 thread) with metric and span collection on vs.
+//    suspended (obs::set_collecting); the acceptance ceiling is <2%
+//    overhead,
 //  * the Table 1 rung: BR at 3 Vdd values x 7 defects x 2 bitlines, the
 //    surrogate warm-start chain vs. cold classic searches, counted in full
 //    transients (table1_transients in the JSON); the acceptance floor is a
@@ -20,7 +25,7 @@
 //
 // All comparisons are written to BENCH_engine.json (wall time and
 // points/sec per variant plus the speedups), together with the full metric
-// dump of the instrumented adaptive run, so the perf trajectory is
+// dump of the instrumented production run, so the perf trajectory is
 // self-describing across PRs.  The engine acceptance floors are
 // adaptive_sparse_speedup >= 3 over the seed fixed-dense configuration and
 // ensemble_speedup >= 2.5 over adaptive+sparse.  The JSON lands in the
@@ -37,6 +42,7 @@
 // interaction to worry about).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -50,10 +56,12 @@
 #include "analysis/border.hpp"
 #include "analysis/result_plane.hpp"
 #include "analysis/vsa.hpp"
+#include "analysis/vsa_cache.hpp"
 #include "campaign/cache_index.hpp"
 #include "defect/defect.hpp"
 #include "circuit/mna.hpp"
 #include "dram/column_sim.hpp"
+#include "numeric/interp.hpp"
 #include "numeric/lu.hpp"
 #include "stress/stress.hpp"
 #include "numeric/sparse.hpp"
@@ -146,7 +154,7 @@ void BM_VsaExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_VsaExtraction);
 
-// --- plane-set sweep: serial seed path vs. parallel engine ----------------
+// --- plane-set sweeps ------------------------------------------------------
 
 struct SweepTiming {
   double wall_s = 0.0;
@@ -154,61 +162,95 @@ struct SweepTiming {
   double points_per_s() const { return points / wall_s; }
 };
 
-/// Time the three planes of generate_plane_set.  `serial_seed_path`
-/// reproduces the pre-parallel engine exactly: three independent
-/// generate_plane calls on one thread with no Vsa memoization (each plane
-/// re-extracts the identical Vsa(R) curve).
+/// The Fig. 2 plane set on the scalar adaptive engine: per R point,
+/// ColumnSimulator bisects Vsa and runs each operation walk, one point at
+/// a time on one thread.  generate_plane runs adaptive settings on the
+/// ensemble only, so this loop is the scalar reference the ladder's
+/// adaptive_sparse rung and the serial seed path time (ensemble_speedup
+/// is measured against it).  `memoize_vsa` = false re-extracts the
+/// identical Vsa(R) curve for every plane, as the seed did.
+void scalar_plane_set(dram::DramColumn& column, const defect::Defect& d,
+                      dram::ColumnSimulator& sim,
+                      const analysis::PlaneOptions& opt, bool memoize_vsa) {
+  const std::vector<double> rs =
+      numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
+  const size_t n_ops = static_cast<size_t>(opt.ops_per_point);
+  const double vdd = sim.conditions().vdd;
+  defect::Injection inj(column, d, rs.front());
+  analysis::VsaCache cache;
+  double sink = 0.0;
+  for (const dram::OpKind op :
+       {dram::OpKind::W0, dram::OpKind::W1, dram::OpKind::R}) {
+    for (const double r : rs) {
+      inj.set_value(r);
+      const analysis::VsaResult vsa =
+          memoize_vsa ? cache.get_or_extract(sim, d, r, opt.vsa)
+                      : analysis::extract_vsa(sim, d.side, opt.vsa);
+      sink += vsa.threshold;
+      if (op == dram::OpKind::R) {
+        const dram::OpSequence reads(n_ops, dram::Operation::r());
+        const double below =
+            std::max(0.0, vsa.threshold - opt.read_probe_offset);
+        const double above =
+            std::min(vdd, vsa.threshold + opt.read_probe_offset);
+        sink += sim.run(reads, below, d.side).final_vc;
+        sink += sim.run(reads, above, d.side).final_vc;
+      } else {
+        const int target = op == dram::OpKind::W0 ? 0 : 1;
+        const dram::OpSequence writes(
+            n_ops, target == 0 ? dram::Operation::w0() : dram::Operation::w1());
+        sink += sim.run(writes, dram::physical_level(d.side, 1 - target, vdd),
+                        d.side)
+                    .final_vc;
+      }
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+}
+
+/// Time one plane set of the Fig. 2 workload (O3 true, nominal corner)
+/// under `settings`: `run(column, defect, sim)` performs the sweep; the
+/// column and simulator are built outside the timed region.
+template <class Run>
 SweepTiming time_plane_set(const analysis::PlaneOptions& opt,
-                           bool serial_seed_path, int threads) {
+                           const dram::SimSettings& settings, Run&& run) {
   dram::DramColumn column;
   const defect::Defect d{defect::DefectKind::O3, dram::Side::True};
-  dram::ColumnSimulator sim(column, stress::nominal_condition());
-
+  dram::ColumnSimulator sim(column, stress::nominal_condition(), settings);
   const auto t0 = std::chrono::steady_clock::now();
-  if (serial_seed_path) {
-    analysis::PlaneOptions o = opt;
-    o.threads = 1;
-    o.vsa_cache = nullptr;
-    auto w0 = analysis::generate_plane(column, d, sim, dram::OpKind::W0, o);
-    auto w1 = analysis::generate_plane(column, d, sim, dram::OpKind::W1, o);
-    auto r = analysis::generate_plane(column, d, sim, dram::OpKind::R, o);
-    benchmark::DoNotOptimize(w0);
-    benchmark::DoNotOptimize(w1);
-    benchmark::DoNotOptimize(r);
-  } else {
-    analysis::PlaneOptions o = opt;
-    o.threads = threads;
-    auto set = analysis::generate_plane_set(column, d, sim, o);
-    benchmark::DoNotOptimize(set);
-  }
+  run(column, d, sim);
   const auto t1 = std::chrono::steady_clock::now();
-
   SweepTiming t;
   t.wall_s = std::chrono::duration<double>(t1 - t0).count();
   t.points = 3L * opt.num_r_points;
   return t;
 }
 
-/// Time generate_plane_set single-threaded under one engine configuration
-/// (the Fig. 2 plane workload with only the transient engine varying).
-/// `batch` > 0 selects the ensemble engine with that many lanes per solve.
-SweepTiming time_plane_engine_once(const analysis::PlaneOptions& opt,
-                                   const dram::SimSettings& settings,
-                                   int batch = 0) {
-  dram::DramColumn column;
-  const defect::Defect d{defect::DefectKind::O3, dram::Side::True};
-  dram::ColumnSimulator sim(column, stress::nominal_condition(), settings);
+/// generate_plane_set on `threads` workers (0 = the pool default) with
+/// `batch` ensemble lanes (0 = automatic; ignored by fixed-step settings).
+SweepTiming time_generate(const analysis::PlaneOptions& opt,
+                          const dram::SimSettings& settings, int threads,
+                          int batch = 0) {
   analysis::PlaneOptions o = opt;
-  o.threads = 1;
+  o.threads = threads;
   o.batch = batch;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto set = analysis::generate_plane_set(column, d, sim, o);
-  benchmark::DoNotOptimize(set);
-  const auto t1 = std::chrono::steady_clock::now();
-  SweepTiming t;
-  t.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  t.points = 3L * opt.num_r_points;
-  return t;
+  return time_plane_set(
+      opt, settings,
+      [&](dram::DramColumn& column, const defect::Defect& d,
+          dram::ColumnSimulator& sim) {
+        auto set = analysis::generate_plane_set(column, d, sim, o);
+        benchmark::DoNotOptimize(set);
+      });
+}
+
+/// scalar_plane_set under the default (adaptive + sparse) settings.
+SweepTiming time_scalar(const analysis::PlaneOptions& opt, bool memoize_vsa) {
+  return time_plane_set(
+      opt, dram::SimSettings{},
+      [&](dram::DramColumn& column, const defect::Defect& d,
+          dram::ColumnSimulator& sim) {
+        scalar_plane_set(column, d, sim, opt, memoize_vsa);
+      });
 }
 
 // --- Table 1 rung: surrogate warm-start chains vs. cold classic searches --
@@ -510,7 +552,7 @@ void write_json(const std::string& path, const analysis::PlaneOptions& opt,
   w.key("cache_hit_us").value(cache.hit_us);
   w.key("disk_hit_us").value(cache.disk_hit_us);
   w.end_object();
-  // Full metric dump of the instrumented adaptive run: the same shape as a
+  // Full metric dump of the instrumented production run: the same shape as a
   // run manifest's `metrics` object (docs/OBSERVABILITY.md).
   w.key("metrics");
   obs::append_metrics(w, metrics);
@@ -566,12 +608,11 @@ int main(int argc, char** argv) {
               "(hardware %d)\n",
               opt.num_r_points, pool, util::hardware_threads());
   try {
-    const SweepTiming serial =
-        time_plane_set(opt, /*serial_seed_path=*/true, 1);
+    const SweepTiming serial = time_scalar(opt, /*memoize_vsa=*/false);
     std::printf("  serial seed path : %8.3f s  (%7.2f points/s)\n",
                 serial.wall_s, serial.points_per_s());
     const SweepTiming parallel =
-        time_plane_set(opt, /*serial_seed_path=*/false, threads);
+        time_generate(opt, dram::SimSettings{}, threads);
     std::printf(
         "  parallel engine  : %8.3f s  (%7.2f points/s)  speedup %.2fx\n",
         parallel.wall_s, parallel.points_per_s(),
@@ -592,14 +633,13 @@ int main(int argc, char** argv) {
     s_fixed_sparse.adaptive = false;
     SweepTiming fixed_dense, fixed_sparse, adaptive_sparse, ensemble;
     for (int rep = 0; rep < reps; ++rep) {
-      const SweepTiming fd = time_plane_engine_once(opt, s_fixed_dense);
+      const SweepTiming fd = time_generate(opt, s_fixed_dense, 1);
       if (rep == 0 || fd.wall_s < fixed_dense.wall_s) fixed_dense = fd;
-      const SweepTiming fs = time_plane_engine_once(opt, s_fixed_sparse);
+      const SweepTiming fs = time_generate(opt, s_fixed_sparse, 1);
       if (rep == 0 || fs.wall_s < fixed_sparse.wall_s) fixed_sparse = fs;
-      const SweepTiming as = time_plane_engine_once(opt, dram::SimSettings{});
+      const SweepTiming as = time_scalar(opt, /*memoize_vsa=*/true);
       if (rep == 0 || as.wall_s < adaptive_sparse.wall_s) adaptive_sparse = as;
-      const SweepTiming en =
-          time_plane_engine_once(opt, dram::SimSettings{}, batch);
+      const SweepTiming en = time_generate(opt, dram::SimSettings{}, 1, batch);
       if (rep == 0 || en.wall_s < ensemble.wall_s) ensemble = en;
     }
     std::printf("  fixed + dense (seed) : %8.3f s  (%7.2f points/s)\n",
@@ -621,7 +661,7 @@ int main(int argc, char** argv) {
     // best-of-N pairs: scheduler noise on a loaded host easily exceeds the
     // effect being measured, and the minimum of each arm is the cleanest
     // estimate of its true cost.
-    std::printf("observability overhead (adaptive + sparse, 1 thread):\n");
+    std::printf("observability overhead (production plane path, 1 thread):\n");
     constexpr int kObsReps = 3;
     SweepTiming obs_on, obs_off;
     obs::MetricsSnapshot metrics;
@@ -629,14 +669,13 @@ int main(int argc, char** argv) {
       obs::reset_metrics();
       obs::reset_spans();
       obs::set_collecting(true);
-      const SweepTiming on = time_plane_engine_once(opt, dram::SimSettings{});
+      const SweepTiming on = time_generate(opt, dram::SimSettings{}, 1);
       if (rep == 0 || on.wall_s < obs_on.wall_s) {
         obs_on = on;
         metrics = obs::metrics_snapshot();
       }
       obs::set_collecting(false);
-      const SweepTiming off =
-          time_plane_engine_once(opt, dram::SimSettings{});
+      const SweepTiming off = time_generate(opt, dram::SimSettings{}, 1);
       obs::set_collecting(true);
       if (rep == 0 || off.wall_s < obs_off.wall_s) obs_off = off;
     }

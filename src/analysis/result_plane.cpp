@@ -38,6 +38,22 @@ Operation op_of(OpKind kind) {
   throw ModelError("result plane: op must be w0, w1 or r");
 }
 
+/// Widest batch the automatic lane count uses: past it the lane-major
+/// working set outgrows the cache (bench/engine_perf measured 12 lanes as
+/// the best batch on the Fig. 2 grid).
+constexpr size_t kMaxLanes = 12;
+
+/// Lanes per batch: one batch per worker of the team, split further only
+/// when that would exceed kMaxLanes.  opt.batch > 0 pins the count.
+size_t lanes_per_batch(size_t n_points, const PlaneOptions& opt) {
+  if (opt.batch > 0) return static_cast<size_t>(opt.batch);
+  const size_t team = std::min(
+      static_cast<size_t>(util::resolve_threads(opt.threads)), n_points);
+  const size_t batches =
+      std::max(team, (n_points + kMaxLanes - 1) / kMaxLanes);
+  return (n_points + batches - 1) / batches;
+}
+
 /// Worker state of the batched (ensemble) sweep: `batch` column clones
 /// bound as ensemble lanes, plus the Vsa gallop seed this worker carries
 /// from batch to batch (R-sweep continuation: adjacent grid points have
@@ -193,13 +209,13 @@ ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
   const dram::TechnologyParams tech = column.tech();
   const dram::OperatingConditions cond = sim.conditions();
   const dram::SimSettings settings = sim.settings();
-  const double r_init = plane.r_values.front();
-  const int batch = util::resolve_batch(opt.batch);
-  if (batch >= 1) {
+  if (dram::EnsembleColumnSim::supports(settings)) {
     sweep_points_batched(plane, d, tech, cond, settings, op, opt,
-                         static_cast<size_t>(batch));
+                         lanes_per_batch(n_points, opt));
     return plane;
   }
+  // Fixed-step or dense settings: one R point at a time on ColumnSimulator.
+  const double r_init = plane.r_values.front();
   util::parallel_for_state(
       n_points,
       [&] { return defect::SweepContext(tech, d, r_init, cond, settings); },

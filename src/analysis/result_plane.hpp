@@ -34,12 +34,12 @@ struct PlaneOptions {
   /// Worker threads for the R sweep; 0 = util::default_threads().  Results
   /// are bit-identical for every thread count.
   int threads = 0;
-  /// Ensemble batch: lanes simulated together per worker.  0 consults
-  /// util::resolve_batch (the --batch flag / DRAMSTRESS_BATCH variable,
-  /// default scalar engine).  Any batch size >= 1 uses the batched engine
-  /// and produces bit-identical results for every batch size and thread
-  /// count; batched results may differ from the scalar engine's within the
-  /// documented solver tolerances (docs/ENGINE.md).
+  /// Ensemble lanes simulated together per batch -- performance only:
+  /// planes are bit-identical for every value.  0 (the default) sizes the
+  /// lanes so each worker gets one batch, at most 12 lanes each; > 0 pins
+  /// the lane count (tests use it to exercise batch compositions).
+  /// Ignored for fixed-step or dense settings, which the ensemble engine
+  /// cannot run (dram::EnsembleColumnSim::supports).
   int batch = 0;
   /// Optional Vsa(R) memoization shared across planes of the same defect
   /// and corner (generate_plane_set supplies one automatically).

@@ -173,11 +173,14 @@ void EnsembleTransient::run(double t_end) {
       }
       const double err = ctrl.error_norm(target, x_try_[l]);
       const bool h_at_floor = h <= ctrl.options().dt_min * (1.0 + 1e-12);
-      if (err > 1.0 && !h_at_floor) {
-        ctrl.reject(err);
-        ++rejected_[l];
-        obs::count("step.rejected_lte");
-        continue;
+      if (err > 1.0) {
+        if (!h_at_floor) {
+          ctrl.reject(err);
+          ++rejected_[l];
+          obs::count("step.rejected_lte");
+          continue;
+        }
+        obs::count("step.forced_floor");
       }
       commit(l, std::move(x_try_[l]), target, ctx_[l]);
       ctrl.accept(time_[l], x_[l], err);

@@ -227,11 +227,15 @@ void TransientSim::run_adaptive(double t_end) {
 
     const double err = ctrl.error_norm(target, x_try);
     const bool h_at_floor = h <= ctrl.options().dt_min * (1.0 + 1e-12);
-    if (err > 1.0 && !h_at_floor) {
-      ctrl.reject(err);
-      ++rejected_steps_;
-      obs::count("step.rejected_lte");
-      continue;
+    if (err > 1.0) {
+      if (!h_at_floor) {
+        ctrl.reject(err);
+        ++rejected_steps_;
+        obs::count("step.rejected_lte");
+        continue;
+      }
+      // No smaller step is allowed: commit it anyway, but on the record.
+      obs::count("step.forced_floor");
     }
 
     commit(std::move(x_try), target, ctx);

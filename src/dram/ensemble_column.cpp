@@ -31,8 +31,8 @@ EnsembleColumnSim::EnsembleColumnSim(std::vector<ColumnSimulator*> sims)
     : sims_(std::move(sims)), mna_(lane_netlists(sims_)) {
   const OperatingConditions& cond = sims_[0]->conditions();
   const SimSettings& st = sims_[0]->settings();
-  require(st.adaptive,
-          "EnsembleColumnSim: batching requires the adaptive engine");
+  require(supports(st),
+          "EnsembleColumnSim: batching requires adaptive, non-dense settings");
   for (const ColumnSimulator* s : sims_) {
     const OperatingConditions& c = s->conditions();
     require(c.vdd == cond.vdd && c.temp_c == cond.temp_c &&
@@ -43,7 +43,7 @@ EnsembleColumnSim::EnsembleColumnSim(std::vector<ColumnSimulator*> sims)
                 t.adaptive == st.adaptive && t.lte_tol == st.lte_tol &&
                 t.dt_min == st.dt_min && t.dt_max == st.dt_max &&
                 t.reuse_jacobian == st.reuse_jacobian &&
-                t.del_steps == st.del_steps,
+                t.del_steps == st.del_steps && t.backend == st.backend,
             "EnsembleColumnSim: lanes must share simulation settings");
   }
 }

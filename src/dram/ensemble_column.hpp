@@ -33,9 +33,16 @@ struct EnsembleRunResult {
 class EnsembleColumnSim {
 public:
   /// Bind N simulators as lanes.  All lanes must share operating
-  /// conditions and settings (adaptive path required); columns must be
-  /// structurally identical.
+  /// conditions and settings, which supports() must accept; columns must
+  /// be structurally identical.
   explicit EnsembleColumnSim(std::vector<ColumnSimulator*> sims);
+
+  /// True when the ensemble engine can run `st`: adaptive stepping on a
+  /// sparse-capable backend (the lanes always solve sparse, so fixed-step
+  /// and dense-LU settings stay with ColumnSimulator).
+  static bool supports(const SimSettings& st) {
+    return st.adaptive && st.backend != circuit::SolverBackend::Dense;
+  }
 
   size_t num_lanes() const { return sims_.size(); }
   ColumnSimulator& lane(size_t l) { return *sims_[l]; }

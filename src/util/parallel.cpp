@@ -42,33 +42,6 @@ int resolve_threads(int requested) {
   return requested > 0 ? requested : default_threads();
 }
 
-namespace {
-
-std::atomic<int> g_default_batch{0};
-
-int env_batch() {
-  const char* s = std::getenv("DRAMSTRESS_BATCH");
-  if (!s || !*s) return 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 1 || v > 1024) return 0;
-  return static_cast<int>(v);
-}
-
-}  // namespace
-
-int default_batch() {
-  const int overridden = g_default_batch.load(std::memory_order_relaxed);
-  if (overridden > 0) return overridden;
-  return env_batch();
-}
-
-void set_default_batch(int n) {
-  g_default_batch.store(n > 0 ? n : 0, std::memory_order_relaxed);
-}
-
-int resolve_batch(int requested) {
-  return requested > 0 ? requested : default_batch();
-}
+int resolve_batch(int requested) { return requested; }
 
 }  // namespace dramstress::util

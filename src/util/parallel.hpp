@@ -81,21 +81,9 @@ void set_default_threads(int n);
 /// requested > 0 ? requested : default_threads().
 int resolve_threads(int requested);
 
-// --- ensemble batch size (lanes per worker) -------------------------------
-// Resolution mirrors threads: call-site override, then set_default_batch()
-// (the CLI --batch flag), then the DRAMSTRESS_BATCH environment variable.
-// Unlike threads there is no hardware fallback: an unresolved batch is 0,
-// which keeps the scalar (non-ensemble) engine -- batching is opt-in.
-
-/// The lane count batched sweeps use when the call site does not override
-/// it; 0 = ensemble batching disabled (scalar engine).
-int default_batch();
-
-/// Process-wide override (the CLI --batch flag); n <= 0 restores the
-/// automatic DRAMSTRESS_BATCH resolution.
-void set_default_batch(int n);
-
-/// requested > 0 ? requested : default_batch().
+/// Always `requested`: there is no process-wide ensemble lane override, so
+/// resolve_batch(0) is 0.  A compatibility shim for the benchmark harness,
+/// which records the value; it goes away with the next benchmark/ change.
 int resolve_batch(int requested);
 
 /// parallel_for_state(n, make_state, body): run body(state, i) for every

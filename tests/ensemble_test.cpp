@@ -2,9 +2,13 @@
 //  * every plane is bit-identical for every batch size >= 1 and every
 //    thread count -- each lane's trajectory is a pure function of its own
 //    inputs, never of its batch neighbours;
+//  * the default lane count is sized to the worker team, so planes are
+//    also identical across default-option thread counts, and no
+//    environment variable can change them;
 //  * the ensemble engine tracks the scalar adaptive engine within the
 //    solver tolerances (they share semantics but not roundoff: the
 //    ensemble adds chord factorization reuse and a fused MOSFET path);
+//  * both engines count the steps they force through at dt_min;
 //  * lanes retire independently: an active-mask subset returns exactly
 //    what the full batch returned for those lanes;
 //  * LTE control is per lane: lanes with different dynamics accept a
@@ -14,19 +18,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/border.hpp"
 #include "analysis/result_plane.hpp"
 #include "circuit/ensemble_mna.hpp"
 #include "circuit/ensemble_transient.hpp"
+#include "circuit/mna.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/transient.hpp"
 #include "dram/column.hpp"
 #include "dram/column_sim.hpp"
 #include "dram/ensemble_column.hpp"
+#include "obs/metrics.hpp"
 #include "stress/stress.hpp"
+#include "util/json.hpp"
 
 namespace dramstress {
 namespace {
@@ -70,6 +80,49 @@ void expect_identical(const analysis::PlaneSet& a,
   expect_identical(a.r, b.r);
 }
 
+std::string plane_json(const analysis::PlaneSet& s) {
+  util::json::Writer w;
+  analysis::append_json(w, s);
+  return w.str();
+}
+
+/// The scalar engine's write planes and Vsa curve over the grid of `opt`,
+/// the reference the ensemble plane engine is held to: per R point, one
+/// ColumnSimulator bisects Vsa and runs each write walk from the opposite
+/// rail.
+struct ScalarWritePlanes {
+  std::vector<double> vsa;                  // [R index]
+  std::vector<std::vector<double>> w0, w1;  // [op][R index]
+};
+
+ScalarWritePlanes scalar_write_planes(const analysis::PlaneOptions& opt) {
+  const Defect d{DefectKind::O3, Side::True};
+  const std::vector<double> rs =
+      numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
+  const size_t n_ops = static_cast<size_t>(opt.ops_per_point);
+  ScalarWritePlanes out;
+  out.w0.assign(n_ops, std::vector<double>(rs.size(), 0.0));
+  out.w1 = out.w0;
+  for (size_t i = 0; i < rs.size(); ++i) {
+    dram::DramColumn col;
+    defect::Injection inj(col, d, rs[i]);
+    dram::ColumnSimulator sim(col, stress::nominal_condition());
+    out.vsa.push_back(analysis::extract_vsa(sim, d.side, opt.vsa).threshold);
+    const double vdd = sim.conditions().vdd;
+    const dram::OpSequence w0s(n_ops, dram::Operation::w0());
+    const dram::OpSequence w1s(n_ops, dram::Operation::w1());
+    const dram::RunResult r0 =
+        sim.run(w0s, dram::physical_level(d.side, 1, vdd), d.side);
+    const dram::RunResult r1 =
+        sim.run(w1s, dram::physical_level(d.side, 0, vdd), d.side);
+    for (size_t k = 0; k < n_ops; ++k) {
+      out.w0[k][i] = r0.vc_after(k);
+      out.w1[k][i] = r1.vc_after(k);
+    }
+  }
+  return out;
+}
+
 TEST(Ensemble, PlaneSetIdenticalAcrossBatchSizes) {
   analysis::PlaneOptions opt = small_plane_options();
   opt.threads = 1;
@@ -93,36 +146,97 @@ TEST(Ensemble, PlaneSetIdenticalAcrossThreadCounts) {
   expect_identical(one, four);
 }
 
+TEST(Ensemble, DefaultLanesIdenticalAcrossThreadCounts) {
+  // Default options size the lanes to the team: the 4-point grid runs
+  // batches of 4, 2 and 1 lanes on 1, 3 and 4 threads.  The plane sets
+  // must be byte-identical, and the retired DRAMSTRESS_BATCH variable must
+  // change nothing.
+  analysis::PlaneOptions opt = small_plane_options();
+  ASSERT_EQ(opt.batch, 0);
+  opt.threads = 1;
+  const std::string one = plane_json(plane_set_with(opt));
+  opt.threads = 3;
+  EXPECT_EQ(plane_json(plane_set_with(opt)), one);
+  opt.threads = 4;
+  EXPECT_EQ(plane_json(plane_set_with(opt)), one);
+
+  ASSERT_EQ(::setenv("DRAMSTRESS_BATCH", "3", 1), 0);
+  opt.threads = 1;
+  const std::string with_env = plane_json(plane_set_with(opt));
+  ::unsetenv("DRAMSTRESS_BATCH");
+  EXPECT_EQ(with_env, one);
+}
+
 TEST(Ensemble, MatchesScalarEngineWithinTolerance) {
   analysis::PlaneOptions opt = small_plane_options();
   opt.threads = 1;
-  opt.batch = 0;  // scalar engine (assuming DRAMSTRESS_BATCH is unset)
-  const analysis::PlaneSet scalar = plane_set_with(opt);
-  opt.batch = 4;
+  const ScalarWritePlanes scalar = scalar_write_planes(opt);
   const analysis::PlaneSet batched = plane_set_with(opt);
 
   // Sense thresholds: the batched extraction resolves the flip on a dyadic
   // grid of pitch <= tolerance, the scalar one bisects to the same
   // tolerance, so they agree within two tolerance widths.
-  ASSERT_EQ(scalar.w1.vsa.size(), batched.w1.vsa.size());
-  for (size_t i = 0; i < scalar.w1.vsa.size(); ++i)
-    EXPECT_NEAR(scalar.w1.vsa[i], batched.w1.vsa[i],
+  ASSERT_EQ(scalar.vsa.size(), batched.w1.vsa.size());
+  for (size_t i = 0; i < scalar.vsa.size(); ++i)
+    EXPECT_NEAR(scalar.vsa[i], batched.w1.vsa[i],
                 2.0 * opt.vsa.tolerance + 1e-12)
         << "vsa at R index " << i;
 
   // Write planes: same initial conditions, same LTE semantics -- the
   // engines differ only in roundoff-level solver details.
-  const analysis::ResultPlane* pairs[][2] = {{&scalar.w0, &batched.w0},
-                                             {&scalar.w1, &batched.w1}};
-  for (const auto& pr : pairs) {
-    const analysis::ResultPlane& s = *pr[0];
-    const analysis::ResultPlane& b = *pr[1];
-    ASSERT_EQ(s.curves.size(), b.curves.size());
-    for (size_t c = 0; c < s.curves.size(); ++c)
-      for (size_t i = 0; i < s.curves[c].vc.size(); ++i)
-        EXPECT_NEAR(s.curves[c].vc[i], b.curves[c].vc[i], 0.02)
+  const std::pair<const std::vector<std::vector<double>>*,
+                  const analysis::ResultPlane*>
+      pairs[] = {{&scalar.w0, &batched.w0}, {&scalar.w1, &batched.w1}};
+  for (const auto& [s, b] : pairs) {
+    ASSERT_EQ(s->size(), b->curves.size());
+    for (size_t c = 0; c < s->size(); ++c)
+      for (size_t i = 0; i < (*s)[c].size(); ++i)
+        EXPECT_NEAR((*s)[c][i], b->curves[c].vc[i], 0.02)
             << "curve " << c << " R index " << i;
   }
+}
+
+TEST(Ensemble, ForcedFloorStepsCountedInBothEngines) {
+  // A decay too fast for a dt_min of a fifth of its time constant under a
+  // tight LTE tolerance: steps land on the floor with error > 1 and are
+  // committed anyway.  Both engines must count them.
+  if (!obs::compiled_in()) GTEST_SKIP() << "metrics compiled out";
+  auto build = [](circuit::Netlist& nl) {
+    const circuit::NodeId a = nl.node("a");
+    nl.add_resistor("R1", a, circuit::kGround, 2.5);
+    nl.add_capacitor("C1", a, circuit::kGround, 1e-9);  // tau = 2.5 ns
+    return a;
+  };
+  auto forced = [] {
+    return obs::metrics_snapshot().counter("step.forced_floor");
+  };
+  circuit::TransientOptions opt;
+  opt.dt = 0.5e-9;
+  opt.adaptive = true;
+  opt.lte_tol = 1e-9;
+  opt.dt_min = 0.5e-9;
+
+  circuit::Netlist scalar_nl;
+  const circuit::NodeId node = build(scalar_nl);
+  circuit::MnaSystem scalar_sys(scalar_nl);
+  circuit::TransientSim scalar(scalar_sys, opt);
+  scalar.set_initial_condition(node, 1.0);
+  const long before_scalar = forced();
+  scalar.run(20e-9);
+  const long scalar_forced = forced() - before_scalar;
+  EXPECT_GT(scalar_forced, 0);
+  EXPECT_LE(scalar_forced, scalar.accepted_steps());
+
+  circuit::Netlist lane_nl;
+  ASSERT_EQ(build(lane_nl), node);
+  circuit::EnsembleMna ens_sys({&lane_nl});
+  circuit::EnsembleTransient ens(ens_sys, opt);
+  ens.set_initial_condition(0, node, 1.0);
+  const long before_ens = forced();
+  ens.run(20e-9);
+  const long ens_forced = forced() - before_ens;
+  EXPECT_GT(ens_forced, 0);
+  EXPECT_LE(ens_forced, ens.accepted_steps(0));
 }
 
 TEST(Ensemble, LaneRetirementAndActiveMask) {

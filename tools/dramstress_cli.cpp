@@ -14,9 +14,9 @@
 // --threads N caps the sweep worker pool (default: DRAMSTRESS_THREADS or
 // all hardware threads); results are identical for every thread count.
 //
-// --batch N routes plane sweeps through the batched ensemble engine with N
-// lanes per solve (default: DRAMSTRESS_BATCH, else the scalar engine);
-// results are identical for every batch size >= 1.
+// Result planes run on the batched ensemble engine whenever the stepping
+// is adaptive, with the lanes per batch sized to the worker pool; there is
+// no engine or lane switch, and results do not depend on the lane count.
 //
 // --adaptive / --no-adaptive selects LTE-controlled vs fixed time stepping
 // (default: adaptive); --lte-tol X sets the relative LTE tolerance of the
@@ -76,8 +76,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: dramstress "
                "<analyze|optimize|report|table1|ffm|planes|check-manifest>\n"
-               "                  [defect] [side] [R|file] [--threads N] "
-               "[--batch N]\n"
+               "                  [defect] [side] [R|file] [--threads N]\n"
                "                  [--adaptive|--no-adaptive] [--lte-tol X] "
                "[--verify[=strict]]\n"
                "                  [--surrogate|--no-surrogate] "
@@ -126,11 +125,11 @@ struct EngineFlags {
   }
 };
 
-/// Strip --threads[=| ]N, --batch[=| ]N, --adaptive/--no-adaptive,
-/// --lte-tol[=| ]X, --surrogate/--no-surrogate and --surrogate-tol[=| ]X
-/// from argv, applying them to the sweep pool / ensemble default / the
-/// surrogate process defaults / `flags`.  Returns the remaining positional
-/// arguments; false on a malformed flag.
+/// Strip --threads[=| ]N, --adaptive/--no-adaptive, --lte-tol[=| ]X,
+/// --surrogate/--no-surrogate and --surrogate-tol[=| ]X from argv,
+/// applying them to the sweep pool / the surrogate process defaults /
+/// `flags`.  Returns the remaining positional arguments; false on a
+/// malformed flag.
 bool extract_flags(int argc, char** argv, std::vector<char*>* args,
                    EngineFlags* flags) {
   for (int i = 0; i < argc; ++i) {
@@ -139,7 +138,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
     bool is_tol = false;
     bool is_surrogate_tol = false;
     bool is_r_points = false;
-    bool is_batch = false;
     std::string* path = nullptr;
     if (std::strcmp(a, "--adaptive") == 0) {
       flags->adaptive = true;
@@ -209,13 +207,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
     } else if (std::strcmp(a, "--threads") == 0) {
       if (i + 1 >= argc) return false;
       value = argv[++i];
-    } else if (std::strncmp(a, "--batch=", 8) == 0) {
-      value = a + 8;
-      is_batch = true;
-    } else if (std::strcmp(a, "--batch") == 0) {
-      if (i + 1 >= argc) return false;
-      value = argv[++i];
-      is_batch = true;
     } else {
       args->push_back(argv[i]);
       continue;
@@ -234,10 +225,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
       const long n = std::strtol(value, &end, 10);
       if (end == value || *end != '\0' || n < 2) return false;
       flags->r_points = static_cast<int>(n);
-    } else if (is_batch) {
-      const long n = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || n < 1 || n > 1024) return false;
-      util::set_default_batch(static_cast<int>(n));
     } else {
       const long n = std::strtol(value, &end, 10);
       if (end == value || *end != '\0' || n < 1) return false;
@@ -283,7 +270,6 @@ obs::ManifestInfo make_manifest_info(const EngineFlags& eng,
   info.tool = "dramstress";
   info.command = cmdline;
   info.settings_number["threads"] = util::resolve_threads(0);
-  info.settings_number["batch"] = util::resolve_batch(0);
   info.settings_flag["adaptive"] = eng.adaptive;
   info.settings_number["lte_tol"] = eng.lte_tol;
   info.settings_text["solver_backend"] = "auto";
