@@ -4,15 +4,15 @@
 //  * one Newton-converged transient step of the full column,
 //  * a complete memory operation cycle,
 //  * one Vsa extraction (the inner loop of every result plane),
-//  * the Fig. 2 plane set end to end: the seed serial path (the scalar
-//    engine one point at a time, 1 thread, no Vsa memoization) vs. the
-//    production engine (generate_plane_set: ensemble lanes on the pool +
-//    VsaCache),
+//  * the Fig. 2 plane set end to end: the seed serial path (the adaptive
+//    scalar engine one point at a time, 1 thread, no Vsa memoization) vs.
+//    the production engine (generate_plane_set: ensemble lanes on the pool
+//    + VsaCache),
 //  * the transient-engine ladder on the Fig. 2 plane workload (1 thread):
-//    seed fixed-dt dense vs fixed-dt sparse (both through
-//    generate_plane's per-point loop) vs adaptive (LTE) + sparse one point
-//    at a time (scalar_plane_set, the bench-local reference loop) vs the
-//    batched ensemble engine (adaptive + sparse + N lanes per solve),
+//    seed fixed-dt dense vs fixed-dt sparse vs adaptive (LTE) + sparse,
+//    each one point at a time on the reference runner
+//    (dram::ColumnReference, every transient including the Vsa probes), vs
+//    the batched ensemble engine (adaptive + sparse + N lanes per solve),
 //  * observability overhead: the production plane path (generate_plane_set
 //    with default lanes, 1 thread) with metric and span collection on vs.
 //    suspended (obs::set_collecting); the acceptance ceiling is <2%
@@ -56,10 +56,10 @@
 #include "analysis/border.hpp"
 #include "analysis/result_plane.hpp"
 #include "analysis/vsa.hpp"
-#include "analysis/vsa_cache.hpp"
 #include "campaign/cache_index.hpp"
 #include "defect/defect.hpp"
 #include "circuit/mna.hpp"
+#include "dram/column_reference.hpp"
 #include "dram/column_sim.hpp"
 #include "numeric/interp.hpp"
 #include "numeric/lu.hpp"
@@ -162,44 +162,43 @@ struct SweepTiming {
   double points_per_s() const { return points / wall_s; }
 };
 
-/// The Fig. 2 plane set on the scalar adaptive engine: per R point,
-/// ColumnSimulator bisects Vsa and runs each operation walk, one point at
-/// a time on one thread.  generate_plane runs adaptive settings on the
-/// ensemble only, so this loop is the scalar reference the ladder's
-/// adaptive_sparse rung and the serial seed path time (ensemble_speedup
-/// is measured against it).  `memoize_vsa` = false re-extracts the
-/// identical Vsa(R) curve for every plane, as the seed did.
-void scalar_plane_set(dram::DramColumn& column, const defect::Defect& d,
-                      dram::ColumnSimulator& sim,
-                      const analysis::PlaneOptions& opt, bool memoize_vsa) {
+/// The Fig. 2 plane set on the scalar engine: per R point, the reference
+/// runner bisects Vsa and runs each operation walk, one point at a time on
+/// one thread.  The ladder's fixed_dense, fixed_sparse and adaptive_sparse
+/// rungs and the serial seed path time it under their options
+/// (ensemble_speedup is measured against the adaptive one).  `memoize_vsa`
+/// = false re-extracts the identical Vsa(R) curve for every plane, as the
+/// seed did.
+void reference_plane_set(dram::DramColumn& column, const defect::Defect& d,
+                         const dram::ReferenceOptions& ro,
+                         const analysis::PlaneOptions& opt, bool memoize_vsa) {
   const std::vector<double> rs =
       numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
   const size_t n_ops = static_cast<size_t>(opt.ops_per_point);
-  const double vdd = sim.conditions().vdd;
+  const dram::ColumnReference ref(column, stress::nominal_condition(), ro);
+  const double vdd = ref.conditions().vdd;
   defect::Injection inj(column, d, rs.front());
-  analysis::VsaCache cache;
+  std::vector<double> vsa_memo(rs.size(), -1.0);
   double sink = 0.0;
   for (const dram::OpKind op :
        {dram::OpKind::W0, dram::OpKind::W1, dram::OpKind::R}) {
-    for (const double r : rs) {
-      inj.set_value(r);
-      const analysis::VsaResult vsa =
-          memoize_vsa ? cache.get_or_extract(sim, d, r, opt.vsa)
-                      : analysis::extract_vsa(sim, d.side, opt.vsa);
-      sink += vsa.threshold;
+    for (size_t i = 0; i < rs.size(); ++i) {
+      inj.set_value(rs[i]);
+      if (!memoize_vsa || vsa_memo[i] < 0.0)
+        vsa_memo[i] = dram::reference_vsa(ref, d.side, opt.vsa.tolerance);
+      const double vsa = vsa_memo[i];
+      sink += vsa;
       if (op == dram::OpKind::R) {
         const dram::OpSequence reads(n_ops, dram::Operation::r());
-        const double below =
-            std::max(0.0, vsa.threshold - opt.read_probe_offset);
-        const double above =
-            std::min(vdd, vsa.threshold + opt.read_probe_offset);
-        sink += sim.run(reads, below, d.side).final_vc;
-        sink += sim.run(reads, above, d.side).final_vc;
+        const double below = std::max(0.0, vsa - opt.read_probe_offset);
+        const double above = std::min(vdd, vsa + opt.read_probe_offset);
+        sink += ref.run(reads, below, d.side).final_vc;
+        sink += ref.run(reads, above, d.side).final_vc;
       } else {
         const int target = op == dram::OpKind::W0 ? 0 : 1;
         const dram::OpSequence writes(
             n_ops, target == 0 ? dram::Operation::w0() : dram::Operation::w1());
-        sink += sim.run(writes, dram::physical_level(d.side, 1 - target, vdd),
+        sink += ref.run(writes, dram::physical_level(d.side, 1 - target, vdd),
                         d.side)
                     .final_vc;
       }
@@ -208,17 +207,15 @@ void scalar_plane_set(dram::DramColumn& column, const defect::Defect& d,
   benchmark::DoNotOptimize(sink);
 }
 
-/// Time one plane set of the Fig. 2 workload (O3 true, nominal corner)
-/// under `settings`: `run(column, defect, sim)` performs the sweep; the
-/// column and simulator are built outside the timed region.
+/// Time one plane set of the Fig. 2 workload (O3 true, nominal corner):
+/// `run(column, defect)` performs the sweep; the column is built outside
+/// the timed region.
 template <class Run>
-SweepTiming time_plane_set(const analysis::PlaneOptions& opt,
-                           const dram::SimSettings& settings, Run&& run) {
+SweepTiming time_plane_set(const analysis::PlaneOptions& opt, Run&& run) {
   dram::DramColumn column;
   const defect::Defect d{defect::DefectKind::O3, dram::Side::True};
-  dram::ColumnSimulator sim(column, stress::nominal_condition(), settings);
   const auto t0 = std::chrono::steady_clock::now();
-  run(column, d, sim);
+  run(column, d);
   const auto t1 = std::chrono::steady_clock::now();
   SweepTiming t;
   t.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -227,29 +224,27 @@ SweepTiming time_plane_set(const analysis::PlaneOptions& opt,
 }
 
 /// generate_plane_set on `threads` workers (0 = the pool default) with
-/// `batch` ensemble lanes (0 = automatic; ignored by fixed-step settings).
-SweepTiming time_generate(const analysis::PlaneOptions& opt,
-                          const dram::SimSettings& settings, int threads,
+/// `batch` ensemble lanes (0 = automatic).
+SweepTiming time_generate(const analysis::PlaneOptions& opt, int threads,
                           int batch = 0) {
   analysis::PlaneOptions o = opt;
   o.threads = threads;
   o.batch = batch;
   return time_plane_set(
-      opt, settings,
-      [&](dram::DramColumn& column, const defect::Defect& d,
-          dram::ColumnSimulator& sim) {
+      opt, [&](dram::DramColumn& column, const defect::Defect& d) {
+        const dram::ColumnSimulator sim(column, stress::nominal_condition());
         auto set = analysis::generate_plane_set(column, d, sim, o);
         benchmark::DoNotOptimize(set);
       });
 }
 
-/// scalar_plane_set under the default (adaptive + sparse) settings.
-SweepTiming time_scalar(const analysis::PlaneOptions& opt, bool memoize_vsa) {
+/// reference_plane_set under `ro`.
+SweepTiming time_reference(const analysis::PlaneOptions& opt,
+                           const dram::ReferenceOptions& ro,
+                           bool memoize_vsa) {
   return time_plane_set(
-      opt, dram::SimSettings{},
-      [&](dram::DramColumn& column, const defect::Defect& d,
-          dram::ColumnSimulator& sim) {
-        scalar_plane_set(column, d, sim, opt, memoize_vsa);
+      opt, [&](dram::DramColumn& column, const defect::Defect& d) {
+        reference_plane_set(column, d, ro, opt, memoize_vsa);
       });
 }
 
@@ -608,11 +603,22 @@ int main(int argc, char** argv) {
               "(hardware %d)\n",
               opt.num_r_points, pool, util::hardware_threads());
   try {
-    const SweepTiming serial = time_scalar(opt, /*memoize_vsa=*/false);
+    // Reference-runner configurations: the column's historical fixed step
+    // (dt 0.1 ns, every 4th step recorded, 256 steps per retention pause)
+    // on dense or sparse LU, and the production adaptive configuration.
+    dram::ReferenceOptions r_fixed_dense;
+    r_fixed_dense.transient.record_stride = 4;
+    r_fixed_dense.backend = circuit::SolverBackend::Dense;
+    dram::ReferenceOptions r_fixed_sparse;
+    r_fixed_sparse.transient.record_stride = 4;
+    dram::ReferenceOptions r_adaptive;
+    r_adaptive.transient.adaptive = true;
+
+    const SweepTiming serial =
+        time_reference(opt, r_adaptive, /*memoize_vsa=*/false);
     std::printf("  serial seed path : %8.3f s  (%7.2f points/s)\n",
                 serial.wall_s, serial.points_per_s());
-    const SweepTiming parallel =
-        time_generate(opt, dram::SimSettings{}, threads);
+    const SweepTiming parallel = time_generate(opt, threads);
     std::printf(
         "  parallel engine  : %8.3f s  (%7.2f points/s)  speedup %.2fx\n",
         parallel.wall_s, parallel.points_per_s(),
@@ -626,20 +632,15 @@ int main(int argc, char** argv) {
     // load drifts on a timescale of seconds to minutes, so back-to-back
     // reps of one rung share its bias while the cross-rung ratios -- the
     // numbers the acceptance floors gate on -- get comparable windows.
-    dram::SimSettings s_fixed_dense;
-    s_fixed_dense.adaptive = false;
-    s_fixed_dense.backend = circuit::SolverBackend::Dense;
-    dram::SimSettings s_fixed_sparse;
-    s_fixed_sparse.adaptive = false;
     SweepTiming fixed_dense, fixed_sparse, adaptive_sparse, ensemble;
     for (int rep = 0; rep < reps; ++rep) {
-      const SweepTiming fd = time_generate(opt, s_fixed_dense, 1);
+      const SweepTiming fd = time_reference(opt, r_fixed_dense, true);
       if (rep == 0 || fd.wall_s < fixed_dense.wall_s) fixed_dense = fd;
-      const SweepTiming fs = time_generate(opt, s_fixed_sparse, 1);
+      const SweepTiming fs = time_reference(opt, r_fixed_sparse, true);
       if (rep == 0 || fs.wall_s < fixed_sparse.wall_s) fixed_sparse = fs;
-      const SweepTiming as = time_scalar(opt, /*memoize_vsa=*/true);
+      const SweepTiming as = time_reference(opt, r_adaptive, true);
       if (rep == 0 || as.wall_s < adaptive_sparse.wall_s) adaptive_sparse = as;
-      const SweepTiming en = time_generate(opt, dram::SimSettings{}, 1, batch);
+      const SweepTiming en = time_generate(opt, 1, batch);
       if (rep == 0 || en.wall_s < ensemble.wall_s) ensemble = en;
     }
     std::printf("  fixed + dense (seed) : %8.3f s  (%7.2f points/s)\n",
@@ -669,13 +670,13 @@ int main(int argc, char** argv) {
       obs::reset_metrics();
       obs::reset_spans();
       obs::set_collecting(true);
-      const SweepTiming on = time_generate(opt, dram::SimSettings{}, 1);
+      const SweepTiming on = time_generate(opt, 1);
       if (rep == 0 || on.wall_s < obs_on.wall_s) {
         obs_on = on;
         metrics = obs::metrics_snapshot();
       }
       obs::set_collecting(false);
-      const SweepTiming off = time_generate(opt, dram::SimSettings{}, 1);
+      const SweepTiming off = time_generate(opt, 1);
       obs::set_collecting(true);
       if (rep == 0 || off.wall_s < obs_off.wall_s) obs_off = off;
     }

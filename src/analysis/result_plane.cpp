@@ -65,14 +65,36 @@ struct BatchState {
   VsaSeed seed;
 };
 
-void sweep_points_batched(ResultPlane& plane, const defect::Defect& d,
-                          const dram::TechnologyParams& tech,
-                          const dram::OperatingConditions& cond,
-                          const dram::SimSettings& settings, OpKind op,
-                          const PlaneOptions& opt, size_t batch) {
-  const double vdd = cond.vdd;
+}  // namespace
+
+ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
+                           const dram::ColumnSimulator& sim, OpKind op,
+                           const PlaneOptions& opt) {
+  OBS_SPAN("plane.generate");
+  require(opt.num_r_points >= 2, "result plane: need >= 2 R points");
+  require(opt.ops_per_point >= 1, "result plane: need >= 1 op");
+  const double vdd = sim.conditions().vdd;
+
+  ResultPlane plane;
+  plane.op = op;
+  plane.vmp = 0.5 * vdd;
+  plane.r_values = numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
+
   const size_t n_points = plane.r_values.size();
   const int n_ops = opt.ops_per_point;
+  const std::vector<double> empty_curve(n_points, 0.0);
+  for (int k = 0; k < n_ops; ++k) {
+    plane.curves.push_back({k + 1, false, empty_curve});
+    if (op == OpKind::R) plane.curves.push_back({k + 1, true, empty_curve});
+  }
+  plane.vsa.assign(n_points, 0.0);
+  plane.vsa_raw.assign(n_points, VsaResult{});
+
+  // Injection::set_value and waveform installation mutate column state, so
+  // each worker sweeps its own clones, bound as the lanes of its batches;
+  // every R point writes only its own pre-sized slot, keeping results
+  // bit-identical across thread and lane counts.
+  const size_t batch = lanes_per_batch(n_points, opt);
   const double r_init = plane.r_values.front();
   const size_t n_batches = (n_points + batch - 1) / batch;
   util::parallel_for_state(
@@ -81,8 +103,9 @@ void sweep_points_batched(ResultPlane& plane, const defect::Defect& d,
         BatchState bs;
         bs.ctxs.reserve(batch);
         for (size_t k = 0; k < batch; ++k)
-          bs.ctxs.emplace_back(tech, d, r_init, cond, settings);
-        std::vector<dram::ColumnSimulator*> sims;
+          bs.ctxs.emplace_back(column.tech(), d, r_init, sim.conditions(),
+                               sim.settings());
+        std::vector<const dram::ColumnSimulator*> sims;
         sims.reserve(batch);
         for (auto& c : bs.ctxs) sims.push_back(&c.sim());
         bs.ens = std::make_unique<dram::EnsembleColumnSim>(std::move(sims));
@@ -168,95 +191,6 @@ void sweep_points_batched(ResultPlane& plane, const defect::Defect& d,
             for (int j = 0; j < n_ops; ++j)
               plane.curves[static_cast<size_t>(j)].vc[begin + k] =
                   rr[k].ops[static_cast<size_t>(j)].vc;
-        }
-      },
-      {.threads = opt.threads});
-}
-
-}  // namespace
-
-ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
-                           const dram::ColumnSimulator& sim, OpKind op,
-                           const PlaneOptions& opt) {
-  OBS_SPAN("plane.generate");
-  require(opt.num_r_points >= 2, "result plane: need >= 2 R points");
-  require(opt.ops_per_point >= 1, "result plane: need >= 1 op");
-  const double vdd = sim.conditions().vdd;
-
-  ResultPlane plane;
-  plane.op = op;
-  plane.vmp = 0.5 * vdd;
-  plane.r_values = numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
-
-  const size_t n_points = plane.r_values.size();
-  const int n_ops = opt.ops_per_point;
-  const std::vector<double> empty_curve(n_points, 0.0);
-  if (op == OpKind::R) {
-    for (int k = 0; k < n_ops; ++k) {
-      plane.curves.push_back({k + 1, false, empty_curve});
-      plane.curves.push_back({k + 1, true, empty_curve});
-    }
-  } else {
-    for (int k = 0; k < n_ops; ++k)
-      plane.curves.push_back({k + 1, false, empty_curve});
-  }
-  plane.vsa.assign(n_points, 0.0);
-  plane.vsa_raw.assign(n_points, VsaResult{});
-
-  // Injection::set_value and waveform installation mutate column state, so
-  // each worker sweeps its own clone; every R point writes only its own
-  // pre-sized slot, keeping results bit-identical across thread counts.
-  const dram::TechnologyParams tech = column.tech();
-  const dram::OperatingConditions cond = sim.conditions();
-  const dram::SimSettings settings = sim.settings();
-  if (dram::EnsembleColumnSim::supports(settings)) {
-    sweep_points_batched(plane, d, tech, cond, settings, op, opt,
-                         lanes_per_batch(n_points, opt));
-    return plane;
-  }
-  // Fixed-step or dense settings: one R point at a time on ColumnSimulator.
-  const double r_init = plane.r_values.front();
-  util::parallel_for_state(
-      n_points,
-      [&] { return defect::SweepContext(tech, d, r_init, cond, settings); },
-      [&](defect::SweepContext& ctx, size_t i) {
-        OBS_SPAN("plane.point");
-        obs::count("plane.points");
-        const double r = plane.r_values[i];
-        ctx.injection().set_value(r);
-        const VsaResult vsa =
-            opt.vsa_cache ? opt.vsa_cache->get_or_extract(ctx.sim(), d, r,
-                                                          opt.vsa)
-                          : extract_vsa(ctx.sim(), d.side, opt.vsa);
-        plane.vsa_raw[i] = vsa;
-        plane.vsa[i] = vsa.threshold;
-
-        if (op == OpKind::R) {
-          // Two read walks bracketing the threshold, as in Fig. 2(c).
-          const OpSequence reads(static_cast<size_t>(n_ops), Operation::r());
-          const double below =
-              std::max(0.0, vsa.threshold - opt.read_probe_offset);
-          const double above =
-              std::min(vdd, vsa.threshold + opt.read_probe_offset);
-          const dram::RunResult rb = ctx.sim().run(reads, below, d.side);
-          const dram::RunResult ra = ctx.sim().run(reads, above, d.side);
-          for (int k = 0; k < n_ops; ++k) {
-            plane.curves[static_cast<size_t>(2 * k)].vc[i] =
-                rb.vc_after(static_cast<size_t>(k));
-            plane.curves[static_cast<size_t>(2 * k + 1)].vc[i] =
-                ra.vc_after(static_cast<size_t>(k));
-          }
-        } else {
-          // Write walks start from the opposite rail: the w0 plane starts
-          // from a stored 1, the w1 plane from a stored 0 (physical level
-          // depends on the side the cell hangs on).
-          const int target = op == OpKind::W0 ? 0 : 1;
-          const double init = dram::physical_level(d.side, 1 - target, vdd);
-          const OpSequence writes(static_cast<size_t>(n_ops), op_of(op));
-          const dram::RunResult rr = ctx.sim().run(writes, init, d.side);
-          for (int k = 0; k < n_ops; ++k)
-            plane.curves[static_cast<size_t>(k)].vc[i] =
-                rr.vc_after(static_cast<size_t>(k));
         }
       },
       {.threads = opt.threads});

@@ -38,8 +38,6 @@ struct PlaneOptions {
   /// planes are bit-identical for every value.  0 (the default) sizes the
   /// lanes so each worker gets one batch, at most 12 lanes each; > 0 pins
   /// the lane count (tests use it to exercise batch compositions).
-  /// Ignored for fixed-step or dense settings, which the ensemble engine
-  /// cannot run (dram::EnsembleColumnSim::supports).
   int batch = 0;
   /// Optional Vsa(R) memoization shared across planes of the same defect
   /// and corner (generate_plane_set supplies one automatically).

@@ -294,7 +294,15 @@ std::optional<CampaignSpec> parse_spec(const std::string& text,
                                "an object", /*required=*/false, "spec")) {
     check_keys(ctx, *st, {"adaptive", "lte_tol", "dt", "reuse_jacobian"},
                "\"settings\"");
-    flag_in(ctx, *st, "adaptive", &spec.settings.adaptive, "\"settings\"");
+    // Retired: `true` (what older run directories recorded) loads as a
+    // no-op; `false` asked for the deleted fixed-step engine.
+    bool adaptive = true;
+    flag_in(ctx, *st, "adaptive", &adaptive, "\"settings\"");
+    if (!adaptive)
+      ctx.diag(Code::SpecBadValue,
+               "\"settings\" field \"adaptive\": fixed-step column "
+               "simulation was removed; every run is adaptive (drop the key)",
+               st->find("adaptive")->offset);
     flag_in(ctx, *st, "reuse_jacobian", &spec.settings.reuse_jacobian,
             "\"settings\"");
     number_in(ctx, *st, "lte_tol", 1e-8, 1.0, &spec.settings.lte_tol,
@@ -367,7 +375,6 @@ std::string spec_json(const CampaignSpec& spec) {
   w.key("ops_per_point").value(spec.plane_ops_per_point);
   w.end_object();
   w.key("settings").begin_object();
-  w.key("adaptive").value(spec.settings.adaptive);
   w.key("lte_tol").value(spec.settings.lte_tol);
   w.key("dt").value(spec.settings.dt);
   w.key("reuse_jacobian").value(spec.settings.reuse_jacobian);

@@ -16,7 +16,7 @@
 //                {"name": "fast", "tcyc": 55e-9, "vdd": 2.1}],
 //     "analyses": ["border", "planes", "optimize"],
 //     "planes": {"r_points": 7, "ops_per_point": 3},
-//     "settings": {"adaptive": true, "lte_tol": 5e-4},
+//     "settings": {"lte_tol": 5e-4, "dt": 1e-10},
 //     "surrogate": {"enabled": true, "tol": 0.02},
 //     "retry": {"max_attempts": 3, "timeout_s": 0, "damping_backoff": 0.5}
 //   }

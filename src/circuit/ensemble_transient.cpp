@@ -28,6 +28,8 @@ EnsembleTransient::EnsembleTransient(EnsembleMna& sys, TransientOptions options,
   rejected_.assign(nlanes, 0);
   breakpoints_.resize(nlanes);
   ctrl_.resize(nlanes);
+  probe_nodes_.resize(nlanes);
+  traces_.resize(nlanes);
   ctx_.resize(nlanes);
   x_try_.resize(nlanes);
   results_.resize(nlanes);
@@ -39,6 +41,22 @@ void EnsembleTransient::set_initial_condition(size_t lane, NodeId node,
           "EnsembleTransient: initial conditions must precede run()");
   require(node != kGround, "EnsembleTransient: cannot set IC on ground");
   x_[lane][static_cast<size_t>(node - 1)] = volts;
+}
+
+void EnsembleTransient::add_probe(size_t lane, const std::string& name,
+                                  NodeId node) {
+  require(!started_, "EnsembleTransient: probes must be added before run()");
+  probe_nodes_[lane].push_back(node);
+  traces_[lane].names.push_back(name);
+  traces_[lane].samples.emplace_back();
+}
+
+void EnsembleTransient::record(size_t lane) {
+  const std::vector<NodeId>& nodes = probe_nodes_[lane];
+  if (nodes.empty()) return;
+  traces_[lane].time.push_back(time_[lane]);
+  for (size_t i = 0; i < nodes.size(); ++i)
+    traces_[lane].samples[i].push_back(voltage(lane, nodes[i]));
 }
 
 void EnsembleTransient::set_dt(double dt) {
@@ -79,6 +97,7 @@ void EnsembleTransient::ensure_started() {
     breakpoints_[l].add_all(bps);
     ctrl_[l].emplace(sopt, opt_.dt, static_cast<size_t>(sys_->num_nodes()));
     ctrl_[l]->seed(time_[l], x_[l]);
+    record(l);
   }
 }
 
@@ -95,6 +114,7 @@ void EnsembleTransient::commit(size_t lane, numeric::Vector&& x_new,
   ctx.x = &x_[lane];
   for (const auto& dev : sys_->lane_netlist(lane).devices())
     dev->commit_step(ctx);
+  record(lane);
 }
 
 void EnsembleTransient::run(double t_end) {

@@ -13,11 +13,13 @@
 // which makes run() boundaries (operation samples, interval ends) the
 // common checkpoints of a batched column simulation.
 //
-// Adaptive/LTE stepping only: the ensemble engine exists for the
-// plane-sweep workload, which runs the adaptive path.
+// Adaptive/LTE stepping only.  Probes (add_probe) record a lane's trace
+// exactly as TransientSim::run_adaptive does: the start state, then every
+// accepted step.  Lanes without probes record nothing.
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "circuit/ensemble_mna.hpp"
@@ -36,6 +38,10 @@ public:
 
   void set_initial_condition(size_t lane, NodeId node, double volts);
 
+  /// Record `node` of `lane` under `name` at the start and after every
+  /// accepted step.  Must be called before the first run().
+  void add_probe(size_t lane, const std::string& name, NodeId node);
+
   /// Change the proposal step for subsequent run() calls, all lanes.
   void set_dt(double dt);
 
@@ -47,6 +53,7 @@ public:
     return EnsembleMna::voltage(x_[lane], node);
   }
   const numeric::Vector& state(size_t lane) const { return x_[lane]; }
+  const Trace& trace(size_t lane) const { return traces_[lane]; }
   long accepted_steps(size_t lane) const { return accepted_[lane]; }
   long rejected_steps(size_t lane) const { return rejected_[lane]; }
 
@@ -54,6 +61,7 @@ private:
   void ensure_started();
   void commit(size_t lane, numeric::Vector&& x_new, double t_new,
               const StampContext& ctx);
+  void record(size_t lane);
 
   // Concurrency: every field below is thread-confined to the sweep worker
   // that owns this EnsembleTransient (util/annotations.hpp conventions --
@@ -72,6 +80,8 @@ private:
   std::vector<long> rejected_;
   std::vector<BreakpointRegistry> breakpoints_;
   std::vector<std::optional<StepController>> ctrl_;
+  std::vector<std::vector<NodeId>> probe_nodes_;  // [lane][probe]
+  std::vector<Trace> traces_;
 
   // Per-run scratch, lane-indexed.
   std::vector<StampContext> ctx_;

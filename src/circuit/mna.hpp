@@ -32,6 +32,8 @@ struct NewtonOptions {
   /// refactor when the residual stalls.  The exact-residual convergence
   /// test is unaffected; only the iteration path changes.
   bool reuse_jacobian = false;
+
+  bool operator==(const NewtonOptions&) const = default;
 };
 
 struct NewtonResult {

@@ -79,7 +79,6 @@ verify::VerifyReport StressFlow::verify() {
   // pair (deck, SimSettings), not the deck alone.
   const dram::SimSettings& s = options_.settings;
   verify::PreflightOptions pre;
-  pre.adaptive = s.adaptive;
   pre.dt_min = s.dt_min;
   pre.lte_tol = s.lte_tol;
   pre.integrator = s.integrator;

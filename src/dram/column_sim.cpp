@@ -1,30 +1,13 @@
 #include "dram/column_sim.hpp"
 
-#include <chrono>
-#include <cmath>
+#include <utility>
 
-#include "circuit/mna.hpp"
-#include "obs/metrics.hpp"
+#include "dram/ensemble_column.hpp"
 #include "obs/span.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace dramstress::dram {
-
-namespace {
-thread_local long t_transients = 0;
-}  // namespace
-
-long thread_transients() { return t_transients; }
-
-void count_transients(long n) {
-  t_transients += n;
-  obs::count("sim.transients", n);
-}
-
-using circuit::MnaSystem;
-using circuit::TransientOptions;
-using circuit::TransientSim;
 
 int RunResult::read_bit(size_t i) const {
   require(i < ops.size(), "RunResult: op index out of range");
@@ -48,136 +31,19 @@ ColumnSimulator::ColumnSimulator(DramColumn& column, OperatingConditions cond,
                                  SimSettings settings)
     : column_(&column), cond_(cond), settings_(settings) {}
 
-namespace {
-
-/// Histogram name for the wall time of one scheduled interval.  Literals:
-/// obs metric names must outlive the process.
-const char* op_wall_metric(const CompiledSchedule& sched, int op_index) {
-  if (op_index < 0) return "op.wall.precharge";
-  switch (sched.ops[static_cast<size_t>(op_index)].kind) {
-    case OpKind::W0: return "op.wall.w0";
-    case OpKind::W1: return "op.wall.w1";
-    case OpKind::R: return "op.wall.r";
-    case OpKind::Del: return "op.wall.del";
-  }
-  return "op.wall.precharge";
-}
-
-}  // namespace
-
 RunResult ColumnSimulator::run(const OpSequence& seq, double vc_init,
                                Side side) const {
   OBS_SPAN("column.run");
-  count_transients();
-  DramColumn& col = *column_;
-  const CompiledSchedule sched =
-      compile_sequence(col, cond_, side, seq, settings_.timing);
-
-  MnaSystem sys(col.netlist(), settings_.backend);
-  TransientOptions topt;
-  topt.dt = settings_.dt;
-  topt.integrator = settings_.integrator;
-  topt.temperature = cond_.kelvin();
-  topt.newton = settings_.newton;
-  topt.record_stride = settings_.record_stride;
-  topt.adaptive = settings_.adaptive;
-  topt.lte_tol = settings_.lte_tol;
-  topt.dt_min = settings_.dt_min;
-  topt.dt_max = settings_.dt_max;
-  topt.reuse_jacobian = settings_.reuse_jacobian;
-  TransientSim sim(sys, topt);
-
-  // --- initial conditions -----------------------------------------------
-  const double vbl = col.tech().vbl_frac * cond_.vdd;
-  const double vref = reference_level(col.tech(), cond_.vdd, cond_.kelvin());
-  // Every source-driven node starts at its waveform's t=0 value, so the
-  // first step does not see artificial rail steps.
-  struct SrcInit {
-    circuit::VoltageSource* src;
-    const char* node;
-  };
-  auto& c = col.controls();
-  const SrcInit inits[] = {
-      {c.vdd, "vddn"}, {c.vbl, "vbln"},   {c.vref, "vrefn"}, {c.eq, "eq"},
-      {c.san, "sann"}, {c.sap, "sapn"},   {c.wsl, "wsl"},    {c.csl, "csl"},
-      {c.dt, "dt"},    {c.dc, "dc"},      {c.wl_true, "wl0"},
-      {c.wl_comp, "wl0c"}, {c.wl_idle_t, "t1_wl"}, {c.wl_idle_c, "c1_wl"},
-      {c.rwl_t, "rt_wl"}, {c.rwl_c, "rc_wl"},
-  };
-  for (const SrcInit& si : inits)
-    sim.set_initial_condition(col.netlist().find_node(si.node), si.src->value(0.0));
-
-  sim.set_initial_condition(col.bt(), vbl);
-  sim.set_initial_condition(col.bc(), vbl);
-  // Reference and idle cells.
-  sim.set_initial_condition(col.netlist().find_node("rt_cn"), vref);
-  sim.set_initial_condition(col.netlist().find_node("rc_cn"), vref);
-  sim.set_initial_condition(col.idle_cell_node(Side::True), 0.0);
-  sim.set_initial_condition(col.idle_cell_node(Side::Comp), 0.0);
-  // Addressed cell on `side` floats at vc_init.  Internal segment nodes
-  // follow the cell only while their path to the storage node is intact;
-  // a node isolated from the cell by an injected open equilibrates to the
-  // bitline level across cycles (it connects to the bitline whenever the
-  // wordline opens), so it starts there.
-  const double kOpenThreshold = 10e3;
-  for (Side s : {Side::True, Side::Comp}) {
-    const double v = (s == side) ? vc_init : 0.0;
-    const bool o3_open =
-        col.segment(s, "o3")->resistance() > kOpenThreshold;
-    const bool o2_open =
-        col.segment(s, "o2")->resistance() > kOpenThreshold;
-    sim.set_initial_condition(col.cell_node(s), v);
-    sim.set_initial_condition(col.seg_node_nm(s), o3_open ? vbl : v);
-    sim.set_initial_condition(col.seg_node_ns(s), (o3_open || o2_open) ? vbl : v);
-    sim.set_initial_condition(col.seg_node_nd(s), vbl);
-  }
-  sim.set_initial_condition(col.netlist().find_node("doutb"), 0.0);
-  sim.set_initial_condition(col.dout(), 0.0);
-
-  sim.add_probe("bt", col.bt());
-  sim.add_probe("bc", col.bc());
-  sim.add_probe("vc", col.cell_node(side));
-
-  // --- execute the schedule, sampling where requested ---------------------
-  RunResult result;
-  result.ops.resize(seq.size());
-  for (size_t i = 0; i < seq.size(); ++i) result.ops[i].kind = seq[i].kind;
-
-  size_t next_sample = 0;
-  const double eps = 1e-15;
-  for (const auto& iv : sched.intervals) {
-    const auto iv_start = std::chrono::steady_clock::now();
-    const double span = iv.t1 - iv.t0;
-    sim.set_dt(iv.is_del ? std::max(settings_.dt, span / settings_.del_steps)
-                         : settings_.dt);
-    while (next_sample < sched.samples.size() &&
-           sched.samples[next_sample].t <= iv.t1 + eps) {
-      const auto& sm = sched.samples[next_sample];
-      if (sm.t > sim.time() + eps) sim.run(sm.t);
-      OpResult& op = result.ops[static_cast<size_t>(sm.op_index)];
-      if (sm.kind == CompiledSchedule::Sample::Kind::ReadBit) {
-        op.sense_margin = sim.voltage(col.bt()) - sim.voltage(col.bc());
-        op.bit = op.sense_margin > 0.0 ? 1 : 0;
-      } else {
-        op.vc = sim.voltage(col.cell_node(side));
-      }
-      ++next_sample;
-    }
-    if (iv.t1 > sim.time() + eps) sim.run(iv.t1);
-    if (obs::collecting()) {
-      const std::chrono::duration<double> wall =
-          std::chrono::steady_clock::now() - iv_start;
-      obs::observe(op_wall_metric(sched, iv.op_index), wall.count());
-    }
-  }
-  result.final_vc = sim.voltage(col.cell_node(side));
-  result.trace = sim.trace();
-  return result;
+  EnsembleColumnSim one({this});
+  std::vector<RunResult> r = one.run_lanes(seq, side, {vc_init}, {},
+                                           /*early_stop=*/false,
+                                           /*lte_scale=*/1.0,
+                                           /*probes=*/true);
+  return std::move(r[0]);
 }
 
 int ColumnSimulator::read_of_initial(double vc_init, Side side) const {
-  const RunResult r = run({Operation::r()}, vc_init, side);
-  return r.read_bit(0);
+  return run({Operation::r()}, vc_init, side).read_bit(0);
 }
 
 }  // namespace dramstress::dram

@@ -4,7 +4,8 @@
 // This is the workhorse of the whole flow: result planes, Vsa extraction,
 // border-resistance bisection and stress probing all reduce to calls of
 // ColumnSimulator::run with different initial cell voltages, defect values
-// and operating corners.
+// and operating corners.  Every run is one lane of the ensemble engine
+// (ensemble_column.hpp): adaptive LTE-controlled stepping on sparse LU.
 #pragma once
 
 #include <optional>
@@ -16,27 +17,21 @@
 namespace dramstress::dram {
 
 struct SimSettings {
-  double dt = 0.1e-9;  // s, transient step during clocked cycles
+  double dt = 0.1e-9;  // s, initial step of every clocked interval
   circuit::Integrator integrator = circuit::Integrator::BackwardEuler;
-  int record_stride = 4;        // trace decimation
   circuit::NewtonOptions newton;
   CommandTiming timing;
-  /// Retention (del) phases integrate with dur/del_steps instead of dt.
+  /// Retention (del) phases start from a step of dur/del_steps instead of dt.
   int del_steps = 256;
-
-  // --- adaptive (LTE-controlled) stepping ---------------------------------
-  // On by default: column waveforms are mostly flat holds, and the LTE
-  // controller reproduces the fixed-step planes within documented tolerance
-  // (docs/ENGINE.md) at a fraction of the steps.  `dt` above doubles as the
-  // adaptive initial step.
-  bool adaptive = true;
+  // LTE-controlled stepping: it reproduces the fixed-step reference within
+  // documented tolerance (docs/ENGINE.md) at a fraction of the steps.
   double lte_tol = 5e-4;   // relative LTE tolerance on node voltages
-  double dt_min = 1e-13;   // s, smallest adaptive step
-  double dt_max = 0.0;     // s, largest adaptive step; 0 = uncapped
+  double dt_min = 1e-13;   // s, smallest step
+  double dt_max = 0.0;     // s, largest step; 0 = uncapped
   /// Modified Newton: reuse the last factorization while convergence is fast.
   bool reuse_jacobian = true;
-  /// MNA linear-solver backend (Auto picks sparse for column-sized systems).
-  circuit::SolverBackend backend = circuit::SolverBackend::Auto;
+
+  bool operator==(const SimSettings&) const = default;
 };
 
 struct OpResult {
@@ -55,7 +50,9 @@ struct OpResult {
 
 struct RunResult {
   std::vector<OpResult> ops;
-  circuit::Trace trace;     // probes: "bt", "bc", "vc"
+  /// Probes "bt", "bc", "vc" at the start and after every accepted step;
+  /// filled by ColumnSimulator::run only (batched lanes record nothing).
+  circuit::Trace trace;
   double final_vc = 0.0;
 
   /// Read bit of operation i; throws if that op was not a read.
@@ -67,17 +64,12 @@ struct RunResult {
 };
 
 /// Count of full transient runs executed by the *calling thread* since it
-/// started: one per ColumnSimulator::run call, one per active lane of an
-/// ensemble batch.  The process-wide total is mirrored into the
+/// started: one per active lane of an ensemble run (a ColumnSimulator::run
+/// is a one-lane run).  The process-wide total is mirrored into the
 /// `sim.transients` obs counter; this thread-local view exists so callers
 /// that own a whole work item on one thread (the campaign runner, the
 /// surrogate search) can meter the item by differencing around it.
 long thread_transients();
-
-/// Record `n` transient runs against the calling thread's total and the
-/// `sim.transients` counter (internal: ColumnSimulator and the ensemble
-/// runner are the only intended callers).
-void count_transients(long n = 1);
 
 class ColumnSimulator {
 public:
@@ -85,7 +77,8 @@ public:
                   SimSettings settings = {});
 
   /// Run `seq` against the addressed cell on `side`, whose storage node
-  /// starts at `vc_init` (the floating-cell initialization of Section 3).
+  /// starts at `vc_init` (the floating-cell initialization of Section 3),
+  /// as a one-lane ensemble run with a recorded trace.
   RunResult run(const OpSequence& seq, double vc_init, Side side) const;
 
   /// Single read of a cell initialized to `vc_init`: the probe used for

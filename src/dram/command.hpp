@@ -23,6 +23,7 @@ struct OperatingConditions {
   double duty = 0.5;     // active fraction of the cycle
 
   double kelvin() const;
+  bool operator==(const OperatingConditions&) const = default;
 };
 
 enum class OpKind { W0, W1, R, Del };
@@ -61,6 +62,8 @@ struct CommandTiming {
   /// having been closed since the previous access; gives the storage-node
   /// junction leakage its realistic pre-read exposure window.
   int idle_cycles = 1;
+
+  bool operator==(const CommandTiming&) const = default;
 };
 
 /// Fully scheduled sequence: source waveforms have been installed on the

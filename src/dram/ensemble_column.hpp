@@ -1,5 +1,6 @@
-// Batched column simulation: one EnsembleMna drives N per-worker column
-// clones ("lanes") through the same operation sequence at once.
+// The column engine: one EnsembleMna drives N column clones ("lanes")
+// through the same operation sequence at once.  Plane sweeps batch many
+// lanes; ColumnSimulator::run (every other column transient) is one lane.
 //
 // Lanes share structure (the plane sweep clones one column per worker and
 // only rewrites the injected defect value between points) but carry their
@@ -9,13 +10,14 @@
 // per-mode stamp programs and the device-major assembly are built once in
 // the constructor and amortized over every run of the batch.
 //
-// The run loop mirrors ColumnSimulator::run exactly: the compiled
-// schedule's sample times and interval ends are common checkpoints at
-// which every lane has landed exactly (EnsembleTransient::run semantics),
-// so sampling logic carries over unchanged, per lane.
+// The compiled schedule's sample times and interval ends are common
+// checkpoints at which every lane has landed exactly (EnsembleTransient::run
+// semantics).  The initial conditions and the schedule walk are shared with
+// the reference runner (column_reference.hpp).
 #pragma once
 
-#include <optional>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "circuit/ensemble_mna.hpp"
@@ -23,29 +25,36 @@
 
 namespace dramstress::dram {
 
-/// Per-operation results of one lane (no trace: batched runs feed plane
-/// sweeps and bisection probes, which read bits and cell voltages only).
-struct EnsembleRunResult {
-  std::vector<OpResult> ops;
-  double final_vc = 0.0;
-};
+/// Results of one batched lane; its trace stays empty.
+using EnsembleRunResult = RunResult;
+
+/// Node voltages at t = 0 of a run whose addressed cell on `side` floats
+/// at `vc_init` (Section 3): every source-driven node at its waveform's
+/// t = 0 value (compile the sequence first), the bitlines at precharge,
+/// reference cells at the reference level, idle cells empty.
+std::vector<std::pair<circuit::NodeId, double>> floating_cell_ics(
+    const DramColumn& col, const OperatingConditions& cond, Side side,
+    double vc_init);
+
+/// Walk `sched` once.  Each interval starts with `set_dt` of its proposal
+/// step (`dt`, or span / del_steps for a retention interval, whichever is
+/// larger); `advance(t)` integrates to exactly t; `sample(s)` reads one
+/// scheduled sample.  With `early_stop` the walk ends right after the last
+/// sample.  Observes the op.wall.* interval histograms while collecting.
+void walk_schedule(
+    const CompiledSchedule& sched, double dt, int del_steps, bool early_stop,
+    const std::function<void(double)>& set_dt,
+    const std::function<void(double)>& advance,
+    const std::function<void(const CompiledSchedule::Sample&)>& sample);
 
 class EnsembleColumnSim {
 public:
   /// Bind N simulators as lanes.  All lanes must share operating
-  /// conditions and settings, which supports() must accept; columns must
-  /// be structurally identical.
-  explicit EnsembleColumnSim(std::vector<ColumnSimulator*> sims);
-
-  /// True when the ensemble engine can run `st`: adaptive stepping on a
-  /// sparse-capable backend (the lanes always solve sparse, so fixed-step
-  /// and dense-LU settings stay with ColumnSimulator).
-  static bool supports(const SimSettings& st) {
-    return st.adaptive && st.backend != circuit::SolverBackend::Dense;
-  }
+  /// conditions and settings; columns must be structurally identical.
+  explicit EnsembleColumnSim(std::vector<const ColumnSimulator*> sims);
 
   size_t num_lanes() const { return sims_.size(); }
-  ColumnSimulator& lane(size_t l) { return *sims_[l]; }
+  const ColumnSimulator& lane(size_t l) const { return *sims_[l]; }
 
   /// Run `seq` on every lane whose active[] entry is nonzero (empty mask =
   /// all lanes), lane l's addressed cell starting at vc_init[l].  With
@@ -72,7 +81,17 @@ public:
                                          double lte_scale = 1.0);
 
 private:
-  std::vector<ColumnSimulator*> sims_;
+  friend class ColumnSimulator;
+
+  /// The body of run_batch, and of ColumnSimulator::run on a one-lane
+  /// ensemble; `probes` also records each active lane's trace.
+  std::vector<RunResult> run_lanes(const OpSequence& seq, Side side,
+                                   const std::vector<double>& vc_init,
+                                   const std::vector<char>& active,
+                                   bool early_stop, double lte_scale,
+                                   bool probes);
+
+  std::vector<const ColumnSimulator*> sims_;
   circuit::EnsembleMna mna_;
 };
 

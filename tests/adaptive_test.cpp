@@ -7,11 +7,15 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "analysis/border.hpp"
 #include "analysis/result_plane.hpp"
 #include "circuit/mna.hpp"
 #include "circuit/transient.hpp"
+#include "dram/column_reference.hpp"
+#include "numeric/interp.hpp"
+#include "numeric/rootfind.hpp"
 #include "stress/stress.hpp"
 
 using namespace dramstress;
@@ -59,15 +63,46 @@ RcRun run_rc(const TransientOptions& topt, double r, double c, double v0,
   return out;
 }
 
-double border_at(bool adaptive) {
+/// The O3 border the production (adaptive) engine finds, and the detection
+/// condition behind it.
+analysis::BorderResult adaptive_border() {
   dram::DramColumn column;
   const defect::Defect d{defect::DefectKind::O3, dram::Side::True};
-  dram::SimSettings settings;
-  settings.adaptive = adaptive;
-  dram::ColumnSimulator sim(column, stress::nominal_condition(), settings);
+  dram::ColumnSimulator sim(column, stress::nominal_condition());
   const analysis::BorderResult br = analysis::analyze_defect(column, d, sim);
   EXPECT_TRUE(br.br.has_value());
-  return br.br.value_or(0.0);
+  return br;
+}
+
+/// The O3 border of `cond` on the fixed-step reference: the column's
+/// historical configuration (dt 0.1 ns, every 4th step recorded, 256 steps
+/// per retention pause) on the scalar engine, searched like the classic
+/// border search -- the coarse scan locates the first failing grid point,
+/// then log-space bisection to log_tol.
+double fixed_step_border(const analysis::DetectionCondition& cond) {
+  dram::DramColumn column;
+  const defect::Defect d{defect::DefectKind::O3, dram::Side::True};
+  dram::ReferenceOptions ro;
+  ro.transient.record_stride = 4;
+  const dram::ColumnReference ref(column, stress::nominal_condition(), ro);
+  const defect::SweepRange range = defect::default_sweep_range(d.kind);
+  defect::Injection inj(column, d, range.lo);
+  const double init = dram::physical_level(d.side, cond.init_logical,
+                                           ref.conditions().vdd);
+  auto fails_at = [&](double r) {
+    inj.set_value(r);
+    return ref.run(cond.ops, init, d.side).last_read_bit() != cond.expected;
+  };
+  const analysis::BorderOptions opt;
+  const std::vector<double> grid =
+      numeric::logspace(range.lo, range.hi, opt.scan_points);
+  size_t edge = 0;
+  while (edge < grid.size() && !fails_at(grid[edge])) ++edge;
+  EXPECT_GT(edge, 0u) << "fails across the whole range";
+  EXPECT_LT(edge, grid.size()) << "never fails";
+  if (edge == 0 || edge == grid.size()) return 0.0;
+  return numeric::bisect_predicate_log(fails_at, grid[edge - 1], grid[edge],
+                                       {.x_tol = opt.log_tol});
 }
 
 }  // namespace
@@ -172,7 +207,6 @@ TEST(Adaptive, PlaneSetIdenticalAcrossThreadCounts) {
   // every thread count.
   const defect::Defect d{defect::DefectKind::O3, dram::Side::True};
   dram::SimSettings settings;
-  settings.adaptive = true;
   analysis::PlaneOptions opt;
   opt.num_r_points = 4;
   opt.ops_per_point = 2;
@@ -205,8 +239,9 @@ TEST(AdaptiveAccuracy, BorderMatchesFixedStepReference) {
   // Tier-1 accuracy gate (tools/tier1.sh runs ctest -R AdaptiveAccuracy):
   // the adaptive engine must reproduce the fixed-step border resistance of
   // the paper's O3 workload within the documented 5% tolerance.
-  const double fixed = border_at(false);
-  const double adaptive = border_at(true);
+  const analysis::BorderResult br = adaptive_border();
+  const double adaptive = br.br.value_or(0.0);
+  const double fixed = fixed_step_border(br.condition);
   ASSERT_GT(fixed, 0.0);
   EXPECT_NEAR(adaptive, fixed, 0.05 * fixed)
       << "adaptive BR drifted from the fixed-step reference";

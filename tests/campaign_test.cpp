@@ -109,6 +109,46 @@ TEST(CampaignSpec, RoundTripsThroughItsOwnJson) {
   EXPECT_EQ(once, campaign::spec_json(again));
 }
 
+TEST(CampaignSpec, RetiredAdaptiveTrueLoadsAsANoOp) {
+  // Run directories written before fixed-step column simulation was
+  // removed carry "adaptive": true; they must still load, plan the same
+  // unit keys, and no longer write the key back.
+  const CampaignSpec plain = spec_of(kOneUnitSpec);
+  VerifyReport report;
+  const std::optional<CampaignSpec> legacy = campaign::parse_spec(R"({
+    "name": "one",
+    "defects": ["o3"],
+    "points": [{"name": "nominal", "vdd": 2.4, "temp_c": 27.0,
+                "tcyc": 60e-9, "duty": 0.5}],
+    "settings": {"adaptive": true}
+  })", &report);
+  ASSERT_TRUE(legacy.has_value()) << report.str();
+  EXPECT_TRUE(report.clean()) << report.str();
+  EXPECT_EQ(campaign::spec_json(*legacy), campaign::spec_json(plain));
+  EXPECT_EQ(campaign::spec_json(plain).find("adaptive"), std::string::npos);
+  EXPECT_EQ(plan_of(*legacy).units[0].key.hash,
+            plan_of(plain).units[0].key.hash);
+}
+
+TEST(CampaignSpec, RetiredAdaptiveFalseIsRejected) {
+  // "adaptive": false asked for the deleted fixed-step engine: silently
+  // running adaptive instead would betray the spec, so it is an error
+  // that names the removal (not the W305 an unknown key would get).
+  VerifyReport report;
+  const std::optional<CampaignSpec> spec = campaign::parse_spec(R"({
+    "name": "one",
+    "defects": ["o3"],
+    "points": [{"name": "nominal"}],
+    "settings": {"adaptive": false}
+  })", &report);
+  EXPECT_FALSE(spec.has_value());
+  ASSERT_TRUE(report.has(Code::SpecBadValue)) << report.str();
+  EXPECT_NE(report.find(Code::SpecBadValue)->message.find("removed"),
+            std::string::npos)
+      << report.str();
+  EXPECT_FALSE(report.has(Code::SpecUnknownKey)) << report.str();
+}
+
 TEST(CampaignPlanTest, ExpandsMatrixWithDependencies) {
   const CampaignSpec spec = spec_of(R"({
     "name": "matrix",

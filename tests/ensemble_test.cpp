@@ -5,9 +5,11 @@
 //  * the default lane count is sized to the worker team, so planes are
 //    also identical across default-option thread counts, and no
 //    environment variable can change them;
-//  * the ensemble engine tracks the scalar adaptive engine within the
-//    solver tolerances (they share semantics but not roundoff: the
-//    ensemble adds chord factorization reuse and a fused MOSFET path);
+//  * a ColumnSimulator::run is one lane of a batch, byte for byte;
+//  * the ensemble engine tracks the scalar adaptive engine (the reference
+//    runner) within the solver tolerances (they share semantics but not
+//    roundoff: the ensemble adds chord factorization reuse and a fused
+//    MOSFET path);
 //  * both engines count the steps they force through at dt_min;
 //  * lanes retire independently: an active-mask subset returns exactly
 //    what the full batch returned for those lanes;
@@ -32,8 +34,10 @@
 #include "circuit/netlist.hpp"
 #include "circuit/transient.hpp"
 #include "dram/column.hpp"
+#include "dram/column_reference.hpp"
 #include "dram/column_sim.hpp"
 #include "dram/ensemble_column.hpp"
+#include "numeric/interp.hpp"
 #include "obs/metrics.hpp"
 #include "stress/stress.hpp"
 #include "util/json.hpp"
@@ -87,9 +91,9 @@ std::string plane_json(const analysis::PlaneSet& s) {
 }
 
 /// The scalar engine's write planes and Vsa curve over the grid of `opt`,
-/// the reference the ensemble plane engine is held to: per R point, one
-/// ColumnSimulator bisects Vsa and runs each write walk from the opposite
-/// rail.
+/// the reference the ensemble plane engine is held to: per R point, the
+/// adaptive reference runner bisects Vsa over its reads and runs each
+/// write walk from the opposite rail.
 struct ScalarWritePlanes {
   std::vector<double> vsa;                  // [R index]
   std::vector<std::vector<double>> w0, w1;  // [op][R index]
@@ -100,21 +104,24 @@ ScalarWritePlanes scalar_write_planes(const analysis::PlaneOptions& opt) {
   const std::vector<double> rs =
       numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
   const size_t n_ops = static_cast<size_t>(opt.ops_per_point);
+  const std::vector<double> zeros(rs.size(), 0.0);
   ScalarWritePlanes out;
-  out.w0.assign(n_ops, std::vector<double>(rs.size(), 0.0));
+  out.w0.assign(n_ops, zeros);
   out.w1 = out.w0;
   for (size_t i = 0; i < rs.size(); ++i) {
     dram::DramColumn col;
     defect::Injection inj(col, d, rs[i]);
-    dram::ColumnSimulator sim(col, stress::nominal_condition());
-    out.vsa.push_back(analysis::extract_vsa(sim, d.side, opt.vsa).threshold);
-    const double vdd = sim.conditions().vdd;
+    dram::ReferenceOptions ro;
+    ro.transient.adaptive = true;
+    const dram::ColumnReference ref(col, stress::nominal_condition(), ro);
+    const double vdd = ref.conditions().vdd;
+    out.vsa.push_back(dram::reference_vsa(ref, d.side, opt.vsa.tolerance));
     const dram::OpSequence w0s(n_ops, dram::Operation::w0());
     const dram::OpSequence w1s(n_ops, dram::Operation::w1());
     const dram::RunResult r0 =
-        sim.run(w0s, dram::physical_level(d.side, 1, vdd), d.side);
+        ref.run(w0s, dram::physical_level(d.side, 1, vdd), d.side);
     const dram::RunResult r1 =
-        sim.run(w1s, dram::physical_level(d.side, 0, vdd), d.side);
+        ref.run(w1s, dram::physical_level(d.side, 0, vdd), d.side);
     for (size_t k = 0; k < n_ops; ++k) {
       out.w0[k][i] = r0.vc_after(k);
       out.w1[k][i] = r1.vc_after(k);
@@ -196,6 +203,52 @@ TEST(Ensemble, MatchesScalarEngineWithinTolerance) {
   }
 }
 
+TEST(Ensemble, ColumnRunIsOneLaneOfABatch) {
+  // One ColumnSimulator::run of w1 w0 r on O3 at 200 kOhm must equal lane
+  // 1 of a 3-lane batch whose other lanes sit at 30 kOhm and 1 MOhm, and
+  // carry a trace that ends on its final cell voltage.
+  const Defect d{DefectKind::O3, Side::True};
+  const dram::OpSequence seq = {dram::Operation::w1(), dram::Operation::w0(),
+                                dram::Operation::r()};
+  const double r_values[] = {30e3, 200e3, 1e6};
+
+  dram::DramColumn single_col;
+  defect::Injection single_inj(single_col, d, r_values[1]);
+  const dram::ColumnSimulator single(single_col, stress::nominal_condition());
+  const dram::RunResult one = single.run(seq, 0.0, d.side);
+
+  std::vector<std::unique_ptr<dram::DramColumn>> cols;
+  std::vector<std::unique_ptr<defect::Injection>> injs;
+  std::vector<std::unique_ptr<dram::ColumnSimulator>> sims;
+  std::vector<const dram::ColumnSimulator*> lanes;
+  for (const double r : r_values) {
+    cols.push_back(std::make_unique<dram::DramColumn>());
+    injs.push_back(std::make_unique<defect::Injection>(*cols.back(), d, r));
+    sims.push_back(std::make_unique<dram::ColumnSimulator>(
+        *cols.back(), stress::nominal_condition()));
+    lanes.push_back(sims.back().get());
+  }
+  dram::EnsembleColumnSim ens(lanes);
+  const std::vector<dram::EnsembleRunResult> batch =
+      ens.run_batch(seq, d.side, {0.0, 0.0, 0.0});
+
+  const dram::RunResult& lane = batch[1];
+  ASSERT_EQ(one.ops.size(), lane.ops.size());
+  for (size_t i = 0; i < one.ops.size(); ++i) {
+    EXPECT_EQ(one.ops[i].bit, lane.ops[i].bit) << "op " << i;
+    EXPECT_EQ(one.ops[i].sense_margin, lane.ops[i].sense_margin) << "op " << i;
+    EXPECT_EQ(one.ops[i].vc, lane.ops[i].vc) << "op " << i;
+  }
+  EXPECT_EQ(one.final_vc, lane.final_vc);
+
+  const circuit::Trace& tr = one.trace;
+  ASSERT_FALSE(tr.time.empty());
+  EXPECT_EQ(tr.time.front(), 0.0);
+  for (size_t k = 1; k < tr.time.size(); ++k)
+    EXPECT_LE(tr.time[k - 1], tr.time[k]) << "sample " << k;
+  EXPECT_EQ(tr.back("vc"), one.final_vc);
+}
+
 TEST(Ensemble, ForcedFloorStepsCountedInBothEngines) {
   // A decay too fast for a dt_min of a fifth of its time constant under a
   // tight LTE tolerance: steps land on the floor with error > 1 and are
@@ -250,7 +303,7 @@ TEST(Ensemble, LaneRetirementAndActiveMask) {
   std::vector<std::unique_ptr<dram::DramColumn>> cols;
   std::vector<std::unique_ptr<defect::Injection>> injs;
   std::vector<std::unique_ptr<dram::ColumnSimulator>> sims;
-  std::vector<dram::ColumnSimulator*> lanes;
+  std::vector<const dram::ColumnSimulator*> lanes;
   for (double r : r_values) {
     cols.push_back(std::make_unique<dram::DramColumn>());
     injs.push_back(std::make_unique<defect::Injection>(*cols.back(), d, r));

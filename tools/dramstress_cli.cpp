@@ -14,14 +14,12 @@
 // --threads N caps the sweep worker pool (default: DRAMSTRESS_THREADS or
 // all hardware threads); results are identical for every thread count.
 //
-// Result planes run on the batched ensemble engine whenever the stepping
-// is adaptive, with the lanes per batch sized to the worker pool; there is
-// no engine or lane switch, and results do not depend on the lane count.
-//
-// --adaptive / --no-adaptive selects LTE-controlled vs fixed time stepping
-// (default: adaptive); --lte-tol X sets the relative LTE tolerance of the
-// adaptive engine (default 5e-4; tighter tracks the fixed-step reference
-// closer at the cost of more steps).
+// Every column transient runs on the ensemble engine with LTE-controlled
+// stepping; result planes batch their R points as lanes sized to the worker
+// pool.  There is no engine, stepping or lane switch, and results do not
+// depend on the lane count.  --lte-tol X sets the relative LTE tolerance
+// (default 5e-4; tighter tracks the fixed-step reference closer at the
+// cost of more steps).
 //
 // --surrogate / --no-surrogate switches the surrogate-accelerated border
 // search (docs/ANALYSIS.md) on or off process-wide (default: on;
@@ -37,6 +35,9 @@
 // duration, full metric dump) on success; --trace FILE writes the span
 // timing tree.  Schemas: docs/OBSERVABILITY.md.  --r-points N sets the
 // resistance grid size of `planes` (default 15).
+//
+// The analysis commands reject any other argument that starts with "--";
+// `campaign` and the service verbs parse their own flags.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,8 +78,7 @@ int usage() {
                "usage: dramstress "
                "<analyze|optimize|report|table1|ffm|planes|check-manifest>\n"
                "                  [defect] [side] [R|file] [--threads N]\n"
-               "                  [--adaptive|--no-adaptive] [--lte-tol X] "
-               "[--verify[=strict]]\n"
+               "                  [--lte-tol X] [--verify[=strict]]\n"
                "                  [--surrogate|--no-surrogate] "
                "[--surrogate-tol X]\n"
                "                  [--metrics FILE] [--trace FILE] "
@@ -111,25 +111,19 @@ int usage() {
 
 /// Transient-engine knobs stripped from the command line.
 struct EngineFlags {
-  bool adaptive = true;     // LTE-controlled stepping (the default engine)
   double lte_tol = 5e-4;    // relative LTE tolerance
   bool verify = false;      // run static verification before the command
   bool verify_strict = false;  // ... and fail on warnings too
   int r_points = 15;        // resistance grid size of `planes`
   std::string metrics_path;  // --metrics FILE; empty = no manifest
   std::string trace_path;    // --trace FILE; empty = no trace
-
-  void apply(dram::SimSettings* s) const {
-    s->adaptive = adaptive;
-    s->lte_tol = lte_tol;
-  }
 };
 
-/// Strip --threads[=| ]N, --adaptive/--no-adaptive, --lte-tol[=| ]X,
-/// --surrogate/--no-surrogate and --surrogate-tol[=| ]X from argv,
-/// applying them to the sweep pool / the surrogate process defaults /
-/// `flags`.  Returns the remaining positional arguments; false on a
-/// malformed flag.
+/// Strip --threads[=| ]N, --lte-tol[=| ]X, --surrogate/--no-surrogate,
+/// --surrogate-tol[=| ]X, --verify[=strict], --metrics, --trace and
+/// --r-points from argv, applying them to the sweep pool / the surrogate
+/// process defaults / `flags`.  Returns the remaining arguments, unknown
+/// flags included; false on a malformed flag.
 bool extract_flags(int argc, char** argv, std::vector<char*>* args,
                    EngineFlags* flags) {
   for (int i = 0; i < argc; ++i) {
@@ -139,14 +133,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
     bool is_surrogate_tol = false;
     bool is_r_points = false;
     std::string* path = nullptr;
-    if (std::strcmp(a, "--adaptive") == 0) {
-      flags->adaptive = true;
-      continue;
-    }
-    if (std::strcmp(a, "--no-adaptive") == 0) {
-      flags->adaptive = false;
-      continue;
-    }
     if (std::strcmp(a, "--surrogate") == 0) {
       analysis::set_default_surrogate_enabled(true);
       continue;
@@ -270,9 +256,7 @@ obs::ManifestInfo make_manifest_info(const EngineFlags& eng,
   info.tool = "dramstress";
   info.command = cmdline;
   info.settings_number["threads"] = util::resolve_threads(0);
-  info.settings_flag["adaptive"] = eng.adaptive;
   info.settings_number["lte_tol"] = eng.lte_tol;
-  info.settings_text["solver_backend"] = "auto";
   info.settings_number["r_points"] = eng.r_points;
   info.duration_s = duration_s;
   return info;
@@ -691,7 +675,7 @@ int run_command(const std::string& cmd, int argc, char** argv,
                 defect::Defect d, const EngineFlags& eng) {
   const bool verify_only = eng.verify && cmd.empty();
   stress::OptimizerOptions options;
-  eng.apply(&options.settings);
+  options.settings.lte_tol = eng.lte_tol;
   core::StressFlow flow(dram::default_technology(),
                         stress::nominal_condition(), options);
   if (eng.verify) {
@@ -800,6 +784,8 @@ int main(int raw_argc, char** raw_argv) {
                cmd == "status" || cmd == "shutdown") {
       rc = run_service_verb(cmd, argc, argv);
     } else {
+      for (int i = 1; i < argc; ++i)
+        if (std::strncmp(argv[i], "--", 2) == 0) return usage();
       defect::Defect d{defect::DefectKind::O3, dram::Side::True};
       if (argc > 2 && !parse_defect(argv[2], &d.kind) && cmd != "table1")
         return usage();

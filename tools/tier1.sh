@@ -26,10 +26,11 @@ echo "=== tier-1: static netlist verification gate ==="
 ./build/tools/dramstress --verify=strict
 
 echo "=== tier-1: adaptive-engine accuracy gate ==="
-# The adaptive (LTE) engine must reproduce the fixed-step border
-# resistance within the tolerance documented in docs/ENGINE.md.  Run the
-# gate by name so an accuracy regression is called out as such even when
-# someone filters the main suite.
+# The column engine (adaptive LTE stepping) must reproduce the border
+# resistance of the fixed-step reference runner (dram::ColumnReference,
+# same detection condition) within the tolerance documented in
+# docs/ENGINE.md.  Run the gate by name so an accuracy regression is
+# called out as such even when someone filters the main suite.
 ctest --test-dir build --output-on-failure -R 'AdaptiveAccuracy'
 
 echo "=== tier-1: observability smoke (manifest emission + schema) ==="
