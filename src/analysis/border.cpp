@@ -232,4 +232,82 @@ void append_json(util::json::Writer& w, const BorderResult& r,
   w.end_object();
 }
 
+namespace {
+
+const util::json::Value& member(const util::json::Value& v, const char* key,
+                                util::json::Value::Kind kind) {
+  const util::json::Value* m = v.find(key);
+  if (m == nullptr || m->kind != kind)
+    throw ModelError(util::format("border state: missing or mistyped \"%s\"",
+                                  key));
+  return *m;
+}
+
+std::optional<double> optional_number(const util::json::Value& v,
+                                      const char* key) {
+  const util::json::Value* m = v.find(key);
+  if (m != nullptr && m->is_null()) return std::nullopt;
+  return member(v, key, util::json::Value::Kind::Number).number;
+}
+
+dram::OpKind op_kind_of(const std::string& name) {
+  for (const dram::OpKind k : {dram::OpKind::W0, dram::OpKind::W1,
+                               dram::OpKind::R, dram::OpKind::Del})
+    if (name == dram::to_string(k)) return k;
+  throw ModelError("border state: unknown operation \"" + name + "\"");
+}
+
+}  // namespace
+
+void append_border_state(util::json::Writer& w, const BorderResult& r) {
+  const auto optional = [&](const char* key, const std::optional<double>& x) {
+    w.key(key);
+    if (x.has_value())
+      w.value(*x);
+    else
+      w.null();
+  };
+  w.begin_object();
+  optional("br", r.br);
+  w.key("fault_at_high_r").value(r.fault_at_high_r);
+  w.key("fails_everywhere").value(r.fails_everywhere);
+  optional("margin_slope", r.margin_slope);
+  w.key("condition").begin_object();
+  w.key("ops").begin_array();
+  for (const dram::Operation& op : r.condition.ops) {
+    w.begin_object();
+    w.key("kind").value(dram::to_string(op.kind));
+    w.key("neighbor").value(op.neighbor);
+    w.key("del_seconds").value(op.del_seconds);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("expected").value(r.condition.expected);
+  w.key("init_logical").value(r.condition.init_logical);
+  w.end_object();
+  w.end_object();
+}
+
+BorderResult parse_border_state(const util::json::Value& v) {
+  using Kind = util::json::Value::Kind;
+  BorderResult r;
+  r.br = optional_number(v, "br");
+  r.fault_at_high_r = member(v, "fault_at_high_r", Kind::Bool).boolean;
+  r.fails_everywhere = member(v, "fails_everywhere", Kind::Bool).boolean;
+  r.margin_slope = optional_number(v, "margin_slope");
+  const util::json::Value& cond = member(v, "condition", Kind::Object);
+  for (const util::json::Value& op : member(cond, "ops", Kind::Array).array) {
+    dram::Operation o;
+    o.kind = op_kind_of(member(op, "kind", Kind::String).string);
+    o.neighbor = member(op, "neighbor", Kind::Bool).boolean;
+    o.del_seconds = member(op, "del_seconds", Kind::Number).number;
+    r.condition.ops.push_back(o);
+  }
+  r.condition.expected =
+      static_cast<int>(member(cond, "expected", Kind::Number).number);
+  r.condition.init_logical =
+      static_cast<int>(member(cond, "init_logical", Kind::Number).number);
+  return r;
+}
+
 }  // namespace dramstress::analysis

@@ -17,6 +17,7 @@
 
 namespace dramstress::util::json {
 class Writer;
+struct Value;
 }
 
 namespace dramstress::analysis {
@@ -62,8 +63,9 @@ struct BorderResult {
   /// Sense-margin slope d(margin)/d(ln R) at the border, reported by the
   /// surrogate search (unset on the classic path).  Feed it into the next
   /// neighbouring search's margin_slope_hint together with bracket_hint.
-  /// Search-internal state, deliberately NOT serialized by append_json:
-  /// the campaign payload schema is unchanged by the surrogate.
+  /// Search state, not a result: append_json leaves it out of the human
+  /// "result" block, and only append_border_state carries it (an optimize
+  /// unit seeds its BR-compare searches with it).
   std::optional<double> margin_slope;
 
   /// Width of the failing range in decades of resistance (the coverage
@@ -91,5 +93,15 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
 /// condition, failing_decades over `range`) -- the campaign cache payload.
 void append_json(util::json::Writer& w, const BorderResult& r,
                  const defect::SweepRange& range);
+
+/// Emit every field of `r` losslessly (doubles round-trip through the
+/// writer's %.17g, the condition as structured ops rather than its
+/// rendering): the "border_state" block of a campaign border payload, from
+/// which the cell's optimize unit resumes instead of re-running Section 3.
+void append_border_state(util::json::Writer& w, const BorderResult& r);
+
+/// Inverse of append_border_state, bit for bit.  Throws ModelError on a
+/// missing or mistyped field.
+BorderResult parse_border_state(const util::json::Value& v);
 
 }  // namespace dramstress::analysis

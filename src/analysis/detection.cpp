@@ -37,7 +37,7 @@ int saturation_count(const dram::ColumnSimulator& sim, dram::Side side, int x,
   const OpSequence writes(static_cast<size_t>(opt.max_charge_ops),
                           x == 1 ? Operation::w1() : Operation::w0());
   const double init = dram::physical_level(side, 1 - x, vdd);
-  const dram::RunResult rr = sim.run(writes, init, side);
+  const dram::RunResult rr = sim.run_samples(writes, init, side);
   double prev = init;
   for (int k = 0; k < opt.max_charge_ops; ++k) {
     const double vc = rr.vc_after(static_cast<size_t>(k));
@@ -57,7 +57,7 @@ ConditionOutcome condition_outcome(const dram::ColumnSimulator& sim,
                                    const DetectionCondition& cond) {
   const double init =
       dram::physical_level(side, cond.init_logical, sim.conditions().vdd);
-  const dram::RunResult rr = sim.run(cond.ops, init, side);
+  const dram::RunResult rr = sim.run_samples(cond.ops, init, side);
   ConditionOutcome out;
   // Sign the *last read's* differential so that positive means "read what
   // was expected": a read returns 1 when bt - bc > 0, so expecting 0 flips

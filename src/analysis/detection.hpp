@@ -28,6 +28,8 @@ struct DetectionCondition {
 
   /// Paper-style rendering, e.g. "w1 w1 w0 r0".
   std::string str() const;
+
+  bool operator==(const DetectionCondition&) const = default;
 };
 
 /// Default delays for retention-style candidates (longest first).  An

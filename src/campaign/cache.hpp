@@ -52,7 +52,10 @@ private:
 /// Schema version of cache objects and journal records; part of every
 /// object wrapper so a format change invalidates cleanly.  v2: unit
 /// payloads wrap the analysis object as {"transients": N, "result": ...}.
-inline constexpr int kCacheVersion = 2;
+/// v3: border payloads add the lossless "border_state" block their optimize
+/// unit starts from, and optimize transients no longer include the nominal
+/// analysis.
+inline constexpr int kCacheVersion = 3;
 
 class ResultCache {
 public:

@@ -2,10 +2,12 @@
 // into a DAG of work units with content-addressed cache keys.
 //
 // Units are independent except for one true data dependency: an optimize
-// unit consumes the border verdict of its (defect, point) cell -- when the
-// border analysis finds no detectable fault anywhere in the sweep range,
-// the optimization is provably futile (optimize_stresses would throw), so
-// the runner skips it with a recorded reason instead of burning retries.
+// unit consumes the border analysis of its (defect, point) cell.  It starts
+// from that result (the optimizer's Section-3 step) instead of redoing it,
+// and when the border analysis finds no detectable fault anywhere in the
+// sweep range, the optimization is provably futile (optimize_stresses would
+// throw), so the runner skips it with a recorded reason instead of burning
+// retries.
 //
 // Cache keys hash every input the unit result depends on: the column
 // netlist signature (device names, kinds and terminal nodes), the defect,
@@ -32,6 +34,12 @@ struct WorkUnit {
   std::vector<size_t> deps;  // indices of units that must finish first
   std::string id;            // "border/o3@nominal"
   CacheKey key;
+  /// Execution input, empty in the plan: the executor hands an optimize
+  /// unit its border dependency's payload on a per-execution copy, and the
+  /// optimizer resumes from that payload's "border_state".  The border
+  /// payload is a pure function of the border key, whose inputs the
+  /// optimize key already hashes, so the key still covers the result.
+  std::string border_payload;
 };
 
 struct CampaignPlan {

@@ -281,7 +281,8 @@ struct Scheduler::Impl {
   /// the unit, and a quarantine verdict replayed from the journal is
   /// restored without re-burning the retry budget.  An optimize unit that
   /// passes gets its border payload in `*border`: the futile check parses
-  /// it outside the lock.
+  /// it outside the lock, and the computation starts from its border
+  /// state.
   std::optional<UnitOutcome> gate_locked(const Session& s,
                                          const WorkUnit& u,
                                          std::string* border) const
@@ -387,9 +388,12 @@ struct Scheduler::Impl {
         return;
       }
 
-      // 5. Compute, with bounded retries (campaign/unit_exec.hpp).
+      // 5. Compute, with bounded retries (campaign/unit_exec.hpp), on a
+      //    copy of the unit that carries its border payload.
+      WorkUnit job = u;
+      job.border_payload = std::move(border);
       UnitOutcome out =
-          compute_with_retries(s->plan, u, tech, opt.fault_injector);
+          compute_with_retries(s->plan, job, tech, opt.fault_injector);
       if (out.status == UnitStatus::Done) cache->store(u.key, out.payload);
       s->journal->append({u.id, key_hex,
                           out.status == UnitStatus::Done ? "done"

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <optional>
 
 #include "analysis/border.hpp"
 #include "analysis/result_plane.hpp"
@@ -42,6 +43,7 @@ std::string compute_unit_payload(const CampaignPlan& plan, const WorkUnit& u,
   dram::ColumnSimulator sim(column, p.condition, settings);
   const long t0 = dram::thread_transients();
   util::json::Writer inner;
+  std::optional<analysis::BorderResult> border_state;
   switch (u.kind) {
     case UnitKind::Border: {
       analysis::BorderOptions bo;
@@ -50,6 +52,7 @@ std::string compute_unit_payload(const CampaignPlan& plan, const WorkUnit& u,
       const analysis::BorderResult r =
           analysis::analyze_defect(column, d, sim, bo);
       analysis::append_json(inner, r, range);
+      border_state = r;
       break;
     }
     case UnitKind::Planes: {
@@ -71,6 +74,14 @@ std::string compute_unit_payload(const CampaignPlan& plan, const WorkUnit& u,
       oo.settings = settings;
       oo.border.surrogate.enabled = plan.spec.surrogate_enabled;
       oo.border.surrogate.tol = plan.spec.surrogate_tol;
+      // The border unit already ran this corner's Section-3 analysis with
+      // these border options: start from its state instead of redoing it.
+      const util::json::Value border = util::json::parse(u.border_payload);
+      const util::json::Value* bs = border.find("border_state");
+      if (bs == nullptr)
+        throw ModelError("campaign: the border payload of " + u.id +
+                         " has no border_state block");
+      oo.nominal_border = analysis::parse_border_state(*bs);
       const stress::OptimizationResult r =
           stress::optimize_stresses(column, d, p.condition, oo);
       stress::append_json(inner, r, range);
@@ -84,6 +95,10 @@ std::string compute_unit_payload(const CampaignPlan& plan, const WorkUnit& u,
   w.key("transients").value(dram::thread_transients() - t0);
   w.key("result");
   util::json::append(w, util::json::parse(inner.str()));
+  if (border_state.has_value()) {
+    w.key("border_state");
+    analysis::append_border_state(w, *border_state);
+  }
   w.end_object();
   return w.str();
 }

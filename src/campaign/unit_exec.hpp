@@ -41,12 +41,15 @@ struct UnitOutcome {
 /// "o3" / "sg.comp": the defect label used by reports and status output.
 std::string defect_label(const defect::Defect& d);
 
-/// Compute one unit from scratch on a fresh column.  Returns the JSON
-/// payload: {"transients": N, "result": {...analysis output...}} -- the
+/// Compute one unit on a fresh column.  Returns the JSON payload:
+/// {"transients": N, "result": {...analysis output...}} -- the
 /// full-transient count is part of the cached record so a later resume
-/// reports the same cost accounting as the run that computed it.  Throws
-/// (ConvergenceError and friends) on failure -- compute_with_retries is
-/// the fault-tolerance layer around this.
+/// reports the same cost accounting as the run that computed it.  A border
+/// payload adds "border_state" (analysis::append_border_state), which
+/// reports leave out; an optimize unit starts from the one in
+/// u.border_payload, so its transients exclude the nominal analysis.
+/// Throws (ConvergenceError and friends) on failure -- compute_with_retries
+/// is the fault-tolerance layer around this.
 std::string compute_unit_payload(const CampaignPlan& plan, const WorkUnit& u,
                                  const dram::TechnologyParams& tech,
                                  const dram::SimSettings& settings);
@@ -62,6 +65,8 @@ bool border_shows_fault(const std::string& payload);
 /// Bounded-retry computation of one unit: each retry perturbs the Newton
 /// damping (max_step *= damping_backoff) and relaxes the iteration budget,
 /// the classic continuation trick for a non-converging operating point.
+/// A retried optimize unit starts from the same border state as its first
+/// attempt: only the optimizer's own runs see the backed-off settings.
 /// On success the outcome is Done with the payload; on exhausted attempts
 /// or a blown per-unit timeout it is Quarantined with the last error.
 /// `fault_injector` (may be empty) runs before every attempt; a throw

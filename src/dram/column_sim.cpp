@@ -42,8 +42,19 @@ RunResult ColumnSimulator::run(const OpSequence& seq, double vc_init,
   return std::move(r[0]);
 }
 
+RunResult ColumnSimulator::run_samples(const OpSequence& seq, double vc_init,
+                                       Side side) const {
+  // Every advance up to the last sample is the one `run` makes, so the
+  // samples are bit-identical; early_stop only skips the unobserved tail.
+  EnsembleColumnSim one({this});
+  std::vector<RunResult> r = one.run_batch(seq, side, {vc_init}, {},
+                                           /*early_stop=*/true,
+                                           /*lte_scale=*/1.0);
+  return std::move(r[0]);
+}
+
 int ColumnSimulator::read_of_initial(double vc_init, Side side) const {
-  return run({Operation::r()}, vc_init, side).read_bit(0);
+  return run_samples({Operation::r()}, vc_init, side).read_bit(0);
 }
 
 }  // namespace dramstress::dram

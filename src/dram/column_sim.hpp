@@ -51,7 +51,8 @@ struct OpResult {
 struct RunResult {
   std::vector<OpResult> ops;
   /// Probes "bt", "bc", "vc" at the start and after every accepted step;
-  /// filled by ColumnSimulator::run only (batched lanes record nothing).
+  /// filled by ColumnSimulator::run only (batched lanes and sample-only
+  /// runs record nothing).
   circuit::Trace trace;
   double final_vc = 0.0;
 
@@ -81,8 +82,16 @@ public:
   /// as a one-lane ensemble run with a recorded trace.
   RunResult run(const OpSequence& seq, double vc_init, Side side) const;
 
+  /// Sample-only `run`: the same per-op results (read bits, sense margins,
+  /// cell-voltage samples) bit for bit, but the run stops right after its
+  /// last scheduled sample and records no trace, so `final_vc` is the
+  /// cell voltage at that stop rather than at the end of the final cycle.
+  /// For callers that read sampled values only.
+  RunResult run_samples(const OpSequence& seq, double vc_init,
+                        Side side) const;
+
   /// Single read of a cell initialized to `vc_init`: the probe used for
-  /// Vsa extraction.  Returns the logical bit.
+  /// Vsa extraction.  Returns the logical bit (a sample-only run).
   int read_of_initial(double vc_init, Side side) const;
 
   const OperatingConditions& conditions() const { return cond_; }

@@ -45,6 +45,8 @@ struct Operation {
   static Operation nw0() { return {OpKind::W0, 0.0, true}; }
   static Operation nw1() { return {OpKind::W1, 0.0, true}; }
   static Operation nr() { return {OpKind::R, 0.0, true}; }
+
+  bool operator==(const Operation&) const = default;
 };
 
 using OpSequence = std::vector<Operation>;

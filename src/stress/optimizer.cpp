@@ -99,7 +99,9 @@ OptimizationResult optimize_stresses(dram::DramColumn& column,
   result.nominal_sc = nominal;
 
   // --- Section 3: nominal fault analysis ---------------------------------
-  {
+  if (opt.nominal_border.has_value()) {
+    result.nominal_border = *opt.nominal_border;
+  } else {
     dram::ColumnSimulator sim(column, nominal, opt.settings);
     result.nominal_border = analysis::analyze_defect(column, d, sim, opt.border);
   }

@@ -14,6 +14,8 @@
 // detection condition may be required (Section 4.4 / Fig. 6).
 #pragma once
 
+#include <optional>
+
 #include "analysis/border.hpp"
 #include "stress/probe.hpp"
 
@@ -49,6 +51,12 @@ struct OptimizerOptions {
   double read_tol = 10e-3;  // V
   /// Axes to optimize (defaults to all four).
   std::vector<StressAxis> axes = default_axes();
+  /// Input, not a setting: the Section-3 nominal analysis when the caller
+  /// already has it (a campaign optimize unit takes it from its border
+  /// unit's payload).  It must be what analyze_defect(column, d, <sim at
+  /// nominal with `settings`>, border) returns; unset, optimize_stresses
+  /// runs that analysis itself.
+  std::optional<analysis::BorderResult> nominal_border;
 };
 
 struct OptimizationResult {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "analysis/border.hpp"
 #include "analysis/detection.hpp"
@@ -10,6 +13,7 @@
 #include "analysis/vsa.hpp"
 #include "analysis/vsa_cache.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 using namespace dramstress;
 using namespace dramstress::analysis;
@@ -230,6 +234,105 @@ TEST_F(AnalysisTest, FailingDecadesComputation) {
   EXPECT_DOUBLE_EQ(r.failing_decades(range), 0.0);
   r.fails_everywhere = true;
   EXPECT_NEAR(r.failing_decades(range), 4.0, 1e-9);
+}
+
+// ----------------------------------------------------------- border state
+
+namespace {
+
+/// Write `r` into a border-payload-shaped object, re-parse the text and
+/// read the state back.
+BorderResult state_round_trip(const BorderResult& r) {
+  util::json::Writer w;
+  w.begin_object();
+  w.key("transients").value(1L);
+  w.key("border_state");
+  append_border_state(w, r);
+  w.end_object();
+  const util::json::Value v = util::json::parse(w.str());
+  return parse_border_state(*v.find("border_state"));
+}
+
+void expect_same_bits(const std::optional<double>& a,
+                      const std::optional<double>& b, const char* what) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << what;
+  if (a.has_value()) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(*a), std::bit_cast<uint64_t>(*b))
+        << what;
+  }
+}
+
+void expect_state_round_trips(const BorderResult& r) {
+  const BorderResult back = state_round_trip(r);
+  expect_same_bits(r.br, back.br, "br");
+  expect_same_bits(r.margin_slope, back.margin_slope, "margin_slope");
+  EXPECT_EQ(r.fault_at_high_r, back.fault_at_high_r);
+  EXPECT_EQ(r.fails_everywhere, back.fails_everywhere);
+  EXPECT_EQ(r.condition, back.condition) << r.condition.str();
+  ASSERT_EQ(r.condition.ops.size(), back.condition.ops.size());
+  for (size_t i = 0; i < r.condition.ops.size(); ++i)
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.condition.ops[i].del_seconds),
+              std::bit_cast<uint64_t>(back.condition.ops[i].del_seconds))
+        << r.condition.str() << " op " << i;
+}
+
+}  // namespace
+
+TEST_F(AnalysisTest, BorderStateRoundTripsBitForBit) {
+  // Every candidate of O3, Sg and B1 at the nominal corner (coupling
+  // candidates included, so neighbour ops and both pause kinds appear),
+  // derived at analyze_defect's reference resistance, with BRs and slopes
+  // whose shortest %g rendering does not round-trip.
+  DetectionOptions opt;
+  opt.include_coupling = true;
+  size_t checked = 0;
+  bool saw_neighbor = false;
+  bool saw_del = false;
+  for (const DefectKind kind : {DefectKind::O3, DefectKind::Sg, DefectKind::B1}) {
+    const Defect d{kind, Side::True};
+    const defect::SweepRange range = defect::default_sweep_range(kind);
+    const double ref = defect::is_series(kind) ? std::sqrt(range.lo * range.hi)
+                                               : 10e3;
+    std::vector<DetectionCondition> cands;
+    {
+      defect::Injection inj(col, d, ref);
+      cands = candidate_conditions(sim, d.side, opt);
+    }
+    ASSERT_FALSE(cands.empty());
+    for (const DetectionCondition& c : cands) {
+      BorderResult r;
+      r.br = ref / 3.0;
+      r.fault_at_high_r = defect::is_series(kind);
+      r.condition = c;
+      r.margin_slope = -1.0 / 7.0;
+      expect_state_round_trips(r);
+      for (const dram::Operation& op : c.ops) {
+        saw_neighbor = saw_neighbor || op.neighbor;
+        saw_del = saw_del || op.kind == dram::OpKind::Del;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_TRUE(saw_neighbor);
+  EXPECT_TRUE(saw_del);
+  EXPECT_GE(checked, 3u * 10u);
+
+  // No BR, a failing-everywhere verdict, and no surrogate slope.
+  BorderResult none;
+  none.fault_at_high_r = false;
+  none.condition.ops = {Operation::w1(), Operation::del(100e-6), Operation::r()};
+  none.condition.expected = 1;
+  expect_state_round_trips(none);
+  BorderResult everywhere = none;
+  everywhere.br = 1e3;
+  everywhere.fails_everywhere = true;
+  everywhere.margin_slope = 0.1 + 0.2;
+  expect_state_round_trips(everywhere);
+}
+
+TEST_F(AnalysisTest, BorderStateRejectsAMissingField) {
+  const util::json::Value v = util::json::parse(R"({"br": null})");
+  EXPECT_THROW(parse_border_state(v), ModelError);
 }
 
 // -------------------------------------------------------------- fast model

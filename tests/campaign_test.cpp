@@ -21,8 +21,10 @@
 
 #include "campaign/runner.hpp"
 #include "dram/column.hpp"
+#include "dram/column_sim.hpp"
 #include "dram/technology.hpp"
 #include "obs/metrics.hpp"
+#include "stress/optimizer.hpp"
 #include "test_dirs.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -509,6 +511,83 @@ TEST(CampaignRunnerTest, RetryRecoversFromTransientFault) {
   EXPECT_GT(v.find("transients")->number, 0.0);
   ASSERT_NE(v.find("result"), nullptr);
   EXPECT_NE(v.find("result")->find("br"), nullptr);
+}
+
+/// A unit's "result" object of a report, re-emitted standalone.
+std::string unit_result(const util::json::Value& report, size_t i) {
+  util::json::Writer w;
+  util::json::append(w, *report.find("units")->array.at(i).find("result"));
+  return w.str();
+}
+
+long unit_transients(const util::json::Value& report, size_t i) {
+  return static_cast<long>(
+      report.find("units")->array.at(i).find("transients")->number);
+}
+
+TEST(CampaignRunnerTest, OptimizeStartsFromItsBorderUnitsResult) {
+  const char* const kSpec = R"({
+    "name": "reuse",
+    "defects": ["sg/comp"],
+    "points": [{"name": "nominal", "vdd": 2.4, "temp_c": 27.0,
+                "tcyc": 60e-9, "duty": 0.5}],
+    "analyses": ["border", "optimize"],
+    "retry": {"max_attempts": 3, "damping_backoff": 0.5}
+  })";
+  const CampaignSpec spec = spec_of(kSpec);
+  const CampaignPlan plan = plan_of(spec);
+  ASSERT_EQ(plan.units.size(), 2u);
+  ASSERT_EQ(plan.units[1].kind, UnitKind::Optimize);
+
+  // Cold run: the optimize unit reuses the border unit's Section-3 result.
+  const CampaignResult cold =
+      run_campaign(spec, fresh_dir("reuse"), fresh_dir("reuse_cache"));
+  ASSERT_EQ(cold.done, 2);
+  const util::json::Value report =
+      util::json::parse(read_file(cold.report_path));
+
+  // The same optimization from scratch, with the campaign's options.
+  const defect::Defect d = plan.defect_of(plan.units[1]);
+  dram::DramColumn column(dram::default_technology());
+  stress::OptimizerOptions oo;
+  oo.settings = spec.settings;
+  oo.border.surrogate.enabled = spec.surrogate_enabled;
+  oo.border.surrogate.tol = spec.surrogate_tol;
+  const long t0 = dram::thread_transients();
+  const stress::OptimizationResult scratch = stress::optimize_stresses(
+      column, d, plan.point_of(plan.units[1]).condition, oo);
+  const long scratch_transients = dram::thread_transients() - t0;
+  util::json::Writer w;
+  stress::append_json(w, scratch, defect::default_sweep_range(d.kind));
+  EXPECT_EQ(unit_result(report, 1), w.str());
+  EXPECT_EQ(unit_transients(report, 1),
+            scratch_transients - unit_transients(report, 0));
+  // Reports carry the human result only, not the border state.
+  EXPECT_EQ(report.find("units")->array[0].find("border_state"), nullptr);
+
+  // The optimize unit over a cache that holds only its border unit.
+  CampaignSpec border_only = spec;
+  border_only.analyses = {UnitKind::Border};
+  const std::string cache = fresh_dir("reuse_border_cache");
+  ASSERT_EQ(run_campaign(border_only, fresh_dir("reuse_border"), cache).done,
+            1);
+  const CampaignResult warm = run_campaign(spec, fresh_dir("reuse_warm"), cache);
+  EXPECT_EQ(warm.cached, 1);
+  EXPECT_EQ(warm.done, 1);
+  EXPECT_EQ(read_file(cold.report_path), read_file(warm.report_path));
+
+  // A failed optimize attempt is retried from the same border state.
+  RunnerOptions faulty;
+  faulty.fault_injector = [](const WorkUnit& u, int attempt) {
+    if (u.kind == UnitKind::Optimize && attempt == 1)
+      throw ConvergenceError("transient glitch");
+  };
+  const CampaignResult retried = run_campaign(
+      spec, fresh_dir("reuse_retry"), fresh_dir("reuse_retry_cache"), faulty);
+  EXPECT_EQ(retried.retried, 1);
+  EXPECT_EQ(retried.outcomes[1].attempts, 2);
+  EXPECT_EQ(unit_result(util::json::parse(read_file(retried.report_path)), 1),
+            unit_result(report, 1));
 }
 
 TEST(CampaignRunnerTest, SecondRunIsFullyCachedAndByteIdentical) {

@@ -6,6 +6,8 @@
 //    also identical across default-option thread counts, and no
 //    environment variable can change them;
 //  * a ColumnSimulator::run is one lane of a batch, byte for byte;
+//  * a sample-only run (early stop, no trace) samples exactly what the
+//    full run samples;
 //  * the ensemble engine tracks the scalar adaptive engine (the reference
 //    runner) within the solver tolerances (they share semantics but not
 //    roundoff: the ensemble adds chord factorization reuse and a fused
@@ -247,6 +249,60 @@ TEST(Ensemble, ColumnRunIsOneLaneOfABatch) {
   for (size_t k = 1; k < tr.time.size(); ++k)
     EXPECT_LE(tr.time[k - 1], tr.time[k]) << "sample " << k;
   EXPECT_EQ(tr.back("vc"), one.final_vc);
+}
+
+TEST(Ensemble, SampleOnlyRunMatchesFullRun) {
+  // A sample-only run stops right after its last sample and records no
+  // trace; every per-op sample must still equal the full run's bit for
+  // bit, at the same transient cost, for transition, retention and
+  // coupling sequences on a series and a shunt defect at two corners.
+  using dram::Operation;
+  const dram::OpSequence seqs[] = {
+      {Operation::w1(), Operation::w1(), Operation::w0(), Operation::r()},
+      {Operation::w1(), Operation::del(100e-6), Operation::r()},
+      {Operation::w1(), Operation::nw0(), Operation::nw0(), Operation::r()},
+  };
+  const dram::OperatingConditions corners[] = {{2.4, 27.0, 60e-9, 0.5},
+                                               {2.4, 87.0, 55e-9, 0.5}};
+  const std::pair<Defect, double> defects[] = {
+      {{DefectKind::O3, Side::True}, 200e3},
+      {{DefectKind::Sg, Side::Comp}, 500e3}};
+  for (const auto& [d, r] : defects) {
+    for (const dram::OperatingConditions& cond : corners) {
+      dram::DramColumn col;
+      defect::Injection inj(col, d, r);
+      const dram::ColumnSimulator sim(col, cond);
+      for (const dram::OpSequence& seq : seqs) {
+        for (const double vc0 : {0.0, cond.vdd}) {
+          const std::string what = d.name() + " " + dram::to_string(seq) +
+                                   " T=" + std::to_string(cond.temp_c) +
+                                   " vc0=" + std::to_string(vc0);
+          const long t0 = dram::thread_transients();
+          const dram::RunResult full = sim.run(seq, vc0, d.side);
+          const long t1 = dram::thread_transients();
+          const dram::RunResult cut = sim.run_samples(seq, vc0, d.side);
+          EXPECT_EQ(dram::thread_transients() - t1, t1 - t0) << what;
+          EXPECT_TRUE(cut.trace.time.empty()) << what;
+          ASSERT_EQ(full.ops.size(), cut.ops.size()) << what;
+          for (size_t i = 0; i < full.ops.size(); ++i) {
+            EXPECT_EQ(full.ops[i].bit, cut.ops[i].bit) << what << " op " << i;
+            EXPECT_EQ(full.ops[i].sense_margin, cut.ops[i].sense_margin)
+                << what << " op " << i;
+            EXPECT_EQ(full.ops[i].vc, cut.ops[i].vc) << what << " op " << i;
+          }
+        }
+      }
+      for (const double vc0 : {0.0, cond.vdd / 2.0, cond.vdd}) {
+        const long t0 = dram::thread_transients();
+        const int bit =
+            sim.run({Operation::r()}, vc0, d.side).read_bit(0);
+        const long t1 = dram::thread_transients();
+        EXPECT_EQ(sim.read_of_initial(vc0, d.side), bit)
+            << d.name() << " vc0=" << vc0;
+        EXPECT_EQ(dram::thread_transients() - t1, t1 - t0);
+      }
+    }
+  }
 }
 
 TEST(Ensemble, ForcedFloorStepsCountedInBothEngines) {
