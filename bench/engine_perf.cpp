@@ -287,12 +287,10 @@ Table1Timing run_table1_rung() {
     double true_side_br[3] = {-1, -1, -1};
     for (dram::Side side : {dram::Side::True, dram::Side::Comp}) {
       const defect::Defect d{k, side};
-      analysis::BorderOptions classic;
-      classic.surrogate.enabled = false;
       analysis::BorderResult fixed;
       {
         dram::ColumnSimulator sim(column, stress::nominal_condition());
-        fixed = analysis::analyze_defect(column, d, sim, classic);
+        fixed = analysis::classic_analyze_defect(column, d, sim);
       }
       if (!fixed.br.has_value()) {
         std::printf("  %-9s: not detectable at nominal, skipped\n",
@@ -309,9 +307,8 @@ Table1Timing run_table1_rung() {
         stress::StressCondition sc = stress::nominal_condition();
         sc.vdd = vdd;
         dram::ColumnSimulator sim(column, sc);
-        auto r = analysis::find_border_resistance(column, d, sim,
-                                                  fixed.condition, range,
-                                                  classic);
+        auto r = analysis::classic_find_border(column, d, sim,
+                                               fixed.condition, range);
         br_off.push_back(r.br.value_or(-1));
       }
       const long off = dram::thread_transients() - t0;
@@ -347,7 +344,6 @@ Table1Timing run_table1_rung() {
         else if (vdd == 2.7 && br_at[1] > 0)
           hint = br_at[0] > 0 ? br_at[1] * (br_at[1] / br_at[0]) : br_at[1];
         analysis::BorderOptions warm;
-        warm.surrogate.enabled = true;
         warm.bracket_hint = hint;
         warm.margin_slope_hint = slope;
         auto r = analysis::find_border_resistance(column, d, sim,

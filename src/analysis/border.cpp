@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/surrogate.hpp"
-
 #include "numeric/interp.hpp"
 #include "numeric/rootfind.hpp"
 #include "obs/metrics.hpp"
@@ -24,16 +22,14 @@ double BorderResult::failing_decades(const defect::SweepRange& range) const {
                          : std::log10(*br / range.lo);
 }
 
-BorderResult find_border_resistance(dram::DramColumn& column,
-                                    const defect::Defect& d,
-                                    const dram::ColumnSimulator& sim,
-                                    const DetectionCondition& cond,
-                                    const defect::SweepRange& range,
-                                    const BorderOptions& opt) {
-  if (opt.surrogate.enabled)
-    return surrogate_find_border(column, d, sim, cond, range, opt);
+BorderResult classic_find_border(dram::DramColumn& column,
+                                 const defect::Defect& d,
+                                 const dram::ColumnSimulator& sim,
+                                 const DetectionCondition& cond,
+                                 const defect::SweepRange& range,
+                                 const BorderOptions& opt) {
   OBS_SPAN("border.find");
-  require(opt.scan_points >= 3, "find_border_resistance: need >= 3 scan points");
+  require(opt.scan_points >= 3, "classic_find_border: need >= 3 scan points");
   BorderResult result;
   result.condition = cond;
   result.fault_at_high_r = defect::is_series(d.kind);
@@ -148,10 +144,10 @@ BorderResult find_border_resistance(dram::DramColumn& column,
   return finish();
 }
 
-BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
-                            const dram::ColumnSimulator& sim,
-                            const BorderOptions& opt) {
-  if (opt.surrogate.enabled) return analyze_defect_surrogate(column, d, sim, opt);
+BorderResult classic_analyze_defect(dram::DramColumn& column,
+                                    const defect::Defect& d,
+                                    const dram::ColumnSimulator& sim,
+                                    const BorderOptions& opt) {
   OBS_SPAN("border.analyze");
   const defect::SweepRange range = defect::default_sweep_range(d.kind);
   // Construct the candidate conditions at a mid-range reference (their
@@ -177,7 +173,7 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
     // (e.g. a 100 us retention pause falsely fails everything at +87 C).
     if (!condition_valid_on_healthy(sim, d.side, cand)) continue;
     const BorderResult r =
-        find_border_resistance(column, d, sim, cand, range, opt);
+        classic_find_border(column, d, sim, cand, range, opt);
     if (!r.br.has_value()) continue;
     const double decades = r.failing_decades(range);
     if (decades > best_decades + kTieTolerance) {
@@ -204,14 +200,13 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
     BorderOptions refine_opt = opt;
     refine_opt.bracket_hint = result.br;
     const BorderResult again =
-        find_border_resistance(column, d, sim, *refined, range, refine_opt);
+        classic_find_border(column, d, sim, *refined, range, refine_opt);
     if (!again.br.has_value()) break;
-    util::log_debug(util::format("analyze_defect(%s): refined '%s' -> '%s', "
-                                 "BR %s -> %s",
-                                 d.name().c_str(), result.condition.str().c_str(),
-                                 refined->str().c_str(),
-                                 util::eng(*result.br, "Ohm").c_str(),
-                                 util::eng(*again.br, "Ohm").c_str()));
+    util::log_debug(util::format(
+        "classic_analyze_defect(%s): refined '%s' -> '%s', BR %s -> %s",
+        d.name().c_str(), result.condition.str().c_str(),
+        refined->str().c_str(), util::eng(*result.br, "Ohm").c_str(),
+        util::eng(*again.br, "Ohm").c_str()));
     result = again;
   }
   return result;

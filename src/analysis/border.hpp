@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "analysis/detection.hpp"
-#include "analysis/surrogate_options.hpp"
 #include "defect/defect.hpp"
 
 namespace dramstress::util::json {
@@ -22,9 +21,30 @@ struct Value;
 
 namespace dramstress::analysis {
 
+/// Knobs of the surrogate-first search (analysis/surrogate.hpp).  Its
+/// bracket tolerance is BorderOptions::log_tol, shared with the classic
+/// search.
+struct SurrogateOptions {
+  /// Hard cap of real transient probes per border search before the
+  /// search declares itself lost and falls back to the classic path.
+  int max_probes = 24;
+  /// Candidate pruning (analyze path): a candidate whose *predicted*
+  /// failing range lies more than this many decades below the predicted
+  /// best is not searched with real transients.  Must stay well above the
+  /// 0.15-decade measured tie window so a mispredicted near-tie cannot be
+  /// pruned; <= 0 disables pruning.
+  double prune_margin_decades = 0.5;
+  /// Cheap-calibration overrides for the fast-model prior: fewer Vsa(R)
+  /// knots and a coarser extraction tolerance than the model's analysis
+  /// defaults, because the prior only has to land the first probe within
+  /// about one coarse-grid step of the answer.
+  int vsa_knots = 2;
+  double vsa_tol = 0.05;  // V
+};
+
 struct BorderOptions {
   int scan_points = 9;        // coarse log grid before bisection
-  double log_tol = 0.02;      // bisection tolerance in ln(R)
+  double log_tol = 0.02;      // bracket tolerance in ln(R), both searches
   DetectionOptions detection;
   /// Iterations of (find BR -> re-derive charging count at BR).  The paper
   /// notes the detection condition itself depends on where BR lands
@@ -43,11 +63,6 @@ struct BorderOptions {
   /// of the neighbouring search).  Lets the surrogate take a Newton step
   /// instead of a geometric walk; ignored by the classic search.
   std::optional<double> margin_slope_hint;
-  /// Surrogate-accelerated search (analysis/surrogate.hpp).  When enabled
-  /// (the default, see default_surrogate_enabled), find_border_resistance
-  /// and analyze_defect dispatch to the margin-root-finding path; disabled,
-  /// the classic scan+bisection below runs byte-identically to before the
-  /// surrogate existed.
   SurrogateOptions surrogate;
 };
 
@@ -73,7 +88,9 @@ struct BorderResult {
   double failing_decades(const defect::SweepRange& range) const;
 };
 
-/// Find the BR of `cond` for defect `d` (injection swept over `range`).
+/// Find the BR of `cond` for defect `d` (injection swept over `range`):
+/// the surrogate-first search of analysis/surrogate.hpp, which falls back
+/// to classic_find_border wherever its model is contradicted.
 BorderResult find_border_resistance(dram::DramColumn& column,
                                     const defect::Defect& d,
                                     const dram::ColumnSimulator& sim,
@@ -84,10 +101,28 @@ BorderResult find_border_resistance(dram::DramColumn& column,
 /// Full Section-3 flow: derive a detection condition at a surely-faulty
 /// reference value, find its BR, then iterate the charging count at the BR
 /// (refine_iterations times).  Returns nullopt in BorderResult::br if no
-/// candidate condition ever fails.
+/// candidate condition ever fails.  A fast-model prior ranks and prunes
+/// the candidates; the winner's BR and the refine chain are measured
+/// classically, so the result equals classic_analyze_defect's.
 BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
                             const dram::ColumnSimulator& sim,
                             const BorderOptions& opt = {});
+
+/// The paper's classic search: a coarse log scan (or a geometric walk out
+/// of opt.bracket_hint) followed by boolean bisection.  The surrogate
+/// search's fallback and the reference it is checked against.
+BorderResult classic_find_border(dram::DramColumn& column,
+                                 const defect::Defect& d,
+                                 const dram::ColumnSimulator& sim,
+                                 const DetectionCondition& cond,
+                                 const defect::SweepRange& range,
+                                 const BorderOptions& opt = {});
+
+/// analyze_defect over classic_find_border for every candidate.
+BorderResult classic_analyze_defect(dram::DramColumn& column,
+                                    const defect::Defect& d,
+                                    const dram::ColumnSimulator& sim,
+                                    const BorderOptions& opt = {});
 
 /// Emit `r` as a JSON object (br, fault_at_high_r, fails_everywhere,
 /// condition, failing_decades over `range`) -- the campaign cache payload.

@@ -1,7 +1,6 @@
 #include "analysis/surrogate.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numbers>
 
@@ -20,27 +19,6 @@ using defect::SweepRange;
 using dram::OpKind;
 using dram::Operation;
 using dram::Side;
-
-// --- process-wide defaults (CLI-configured, see surrogate_options.hpp) -----
-
-namespace {
-std::atomic<bool> g_enabled{true};
-std::atomic<double> g_tol{0.02};
-}  // namespace
-
-bool default_surrogate_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-void set_default_surrogate_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-double default_surrogate_tol() {
-  return g_tol.load(std::memory_order_relaxed);
-}
-void set_default_surrogate_tol(double tol) {
-  require(tol > 0.0, "set_default_surrogate_tol: tolerance must be > 0");
-  g_tol.store(tol, std::memory_order_relaxed);
-}
 
 // --- root search -----------------------------------------------------------
 
@@ -90,12 +68,14 @@ bool shape_ok(const std::vector<MarginSample>& samples, bool series) {
 SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
                                             const SweepRange& range,
                                             bool series, double prior_log_r,
-                                            const SurrogateOptions& opt,
+                                            const BorderOptions& opt,
                                             std::optional<double> prior_slope) {
   require(range.lo > 0.0 && range.hi > range.lo,
           "surrogate_root_search: bad sweep range");
   const double lo_x = std::log(range.lo);
   const double hi_x = std::log(range.hi);
+  const double tol = opt.log_tol;
+  const int max_probes = opt.surrogate.max_probes;
   SurrogateSearchResult out;
   long refine_probes = 0;
 
@@ -142,7 +122,7 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
   // as wide as its last hop -- small early hops mean cliff-shaped margins
   // (saturated, no analog information) get a nearly-converged bracket
   // instead of a full grid step to bisect.
-  double step = std::min(opt.tol, step_max);
+  double step = std::min(tol, step_max);
   double slope = 0.0;
   bool have_slope = false;
   if (prior_slope.has_value() && slope_usable(*prior_slope)) {
@@ -160,7 +140,7 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
       out.br = std::exp(target_end);
       return out;
     }
-    if (out.probes >= opt.max_probes)
+    if (out.probes >= max_probes)
       return give_up(std::nullopt, std::nullopt);
     double hop = step;
     if (have_slope) {
@@ -171,7 +151,7 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
       // slopes extrapolated far beyond where they were measured.
       const double newton = -prev_m / slope;
       if (newton * dir > 0.0)
-        hop = std::clamp(1.25 * std::abs(newton), 0.5 * opt.tol, step);
+        hop = std::clamp(1.25 * std::abs(newton), 0.5 * tol, step);
     }
     double nx = prev_x + dir * hop;
     nx = dir > 0 ? std::min(nx, target_end) : std::max(nx, target_end);
@@ -225,9 +205,9 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
   };
 
   // --- PCHIP refinement, probing only while the bracket is too wide -------
-  while (bh - bl > opt.tol) {
+  while (bh - bl > tol) {
     if (!shape_ok(out.samples, series)) return give_up(bl, bh);
-    if (out.probes >= opt.max_probes) return give_up(bl, bh);
+    if (out.probes >= max_probes) return give_up(bl, bh);
 
     std::vector<double> xs;
     std::vector<double> ys;
@@ -252,11 +232,11 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
                       curve.xs().begin();
     const size_t ki = static_cast<size_t>(knot);
     if (out.samples.size() >= 4 && ki + 1 < curve.size() &&
-        bh - bl <= 2.0 * opt.tol) {
+        bh - bl <= 2.0 * tol) {
       const double slope = (curve.ys()[ki + 1] - curve.ys()[ki]) / (bh - bl);
       const double bound = curve.interval_error_bound(ki);
       if (bound > 0.0 && std::abs(slope) > 1e-12 &&
-          bound / std::abs(slope) <= 0.5 * opt.tol) {
+          bound / std::abs(slope) <= 0.5 * tol) {
         const std::optional<double> xz = curve.first_zero(bl, bh);
         out.br = std::exp(xz.value_or(0.5 * (bl + bh)));
         report_slope();
@@ -281,12 +261,12 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
     // locates the crossing to second order -- and unlike the bound above,
     // a real transient made the final call.
     const double sec = (margin_at(bh) - margin_at(bl)) / (bh - bl);
-    const double newton_dist = slope_usable(sec) ? -mn / sec : 2.0 * opt.tol;
+    const double newton_dist = slope_usable(sec) ? -mn / sec : 2.0 * tol;
     if (margin_fails(mn) == fails_at_high)
       bh = xn;
     else
       bl = xn;
-    if (std::abs(newton_dist) <= 0.5 * opt.tol) {
+    if (std::abs(newton_dist) <= 0.5 * tol) {
       out.br = std::exp(std::clamp(xn + newton_dist, bl, bh));
       report_slope();
       obs::count("surrogate.refine", refine_probes);
@@ -397,6 +377,13 @@ BorderSurrogate::Prediction BorderSurrogate::predict(
 
 // --- border search / analyze entry points ----------------------------------
 
+namespace {
+
+/// find_border_resistance with an explicit prior: probes the real margin
+/// via condition_outcome, maps the crossing to a BorderResult, and handles
+/// the classic fallback internally.  `prior_log_r`: ln ohms of the expected
+/// BR (a BorderSurrogate prediction or the previous candidate's BR);
+/// nullopt = BorderOptions::bracket_hint, else mid-range.
 BorderResult surrogate_find_border(dram::DramColumn& column,
                                    const defect::Defect& d,
                                    const dram::ColumnSimulator& sim,
@@ -432,7 +419,7 @@ BorderResult surrogate_find_border(dram::DramColumn& column,
       inj.set_value(r);
       return condition_outcome(sim, d.side, cond).margin;
     };
-    sr = surrogate_root_search(probe, range, series, prior, opt.surrogate,
+    sr = surrogate_root_search(probe, range, series, prior, opt,
                                opt.margin_slope_hint);
     obs::count("border.bisect.iters", probes);
 
@@ -498,15 +485,30 @@ BorderResult surrogate_find_border(dram::DramColumn& column,
   // No usable bracket: full classic search (the injection above is gone,
   // so the classic path owns the column exclusively).
   BorderOptions classic = opt;
-  classic.surrogate.enabled = false;
   classic.bracket_hint.reset();
-  return find_border_resistance(column, d, sim, cond, range, classic);
+  return classic_find_border(column, d, sim, cond, range, classic);
 }
 
-BorderResult analyze_defect_surrogate(dram::DramColumn& column,
-                                      const defect::Defect& d,
-                                      const dram::ColumnSimulator& sim,
-                                      const BorderOptions& opt) {
+}  // namespace
+
+BorderResult find_border_resistance(dram::DramColumn& column,
+                                    const defect::Defect& d,
+                                    const dram::ColumnSimulator& sim,
+                                    const DetectionCondition& cond,
+                                    const SweepRange& range,
+                                    const BorderOptions& opt) {
+  return surrogate_find_border(column, d, sim, cond, range, opt,
+                               std::nullopt);
+}
+
+// One shared BorderSurrogate ranks and prunes the candidate conditions,
+// priors chain from candidate to candidate, and the refine iterations
+// warm-start from the found BR.  Selection replicates the classic tie rule
+// (first candidate within 0.15 decades of the best wins) on *measured*
+// decades of every searched candidate.
+BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
+                            const dram::ColumnSimulator& sim,
+                            const BorderOptions& opt) {
   OBS_SPAN("border.analyze");
   const SweepRange range = defect::default_sweep_range(d.kind);
   const bool series = defect::is_series(d.kind);
@@ -537,7 +539,6 @@ BorderResult analyze_defect_surrogate(dram::DramColumn& column,
   const double kPredictionTrustDecades = 1.5;
   const double kTieTolerance = 0.15;  // decades (same rule as the classic path)
   BorderOptions classic = opt;
-  classic.surrogate.enabled = false;
   classic.bracket_hint.reset();
   std::optional<double> chain_prior;  // ln ohms of the last measured BR
 
@@ -588,7 +589,7 @@ BorderResult analyze_defect_surrogate(dram::DramColumn& column,
     bool classic_measured = false;
     if (model_contradicted) {
       obs::count("surrogate.fallback");
-      r = find_border_resistance(column, d, sim, cand, range, classic);
+      r = classic_find_border(column, d, sim, cand, range, classic);
       classic_measured = true;
     } else {
       std::optional<double> p = chain_prior;
@@ -597,7 +598,7 @@ BorderResult analyze_defect_surrogate(dram::DramColumn& column,
       if (r.br.has_value() && pred.br.has_value() &&
           std::abs(std::log10(*r.br / *pred.br)) > kPredictionTrustDecades) {
         obs::count("surrogate.fallback");
-        r = find_border_resistance(column, d, sim, cand, range, classic);
+        r = classic_find_border(column, d, sim, cand, range, classic);
         classic_measured = true;
       }
     }
@@ -641,8 +642,8 @@ BorderResult analyze_defect_surrogate(dram::DramColumn& column,
       break;
     }
     obs::count("surrogate.verify");
-    BorderResult rc = find_border_resistance(
-        column, d, sim, candidates[w.idx], range, classic);
+    BorderResult rc = classic_find_border(column, d, sim, candidates[w.idx],
+                                          range, classic);
     if (!rc.br.has_value()) {
       measured.erase(measured.begin() + static_cast<long>(win));
       continue;
@@ -669,14 +670,14 @@ BorderResult analyze_defect_surrogate(dram::DramColumn& column,
     // only in a mid-range band) is invisible to an endpoint probe.  Only
     // the classic grid scan is authoritative for a negative answer.
     obs::count("surrogate.fallback");
-    return analyze_defect(column, d, sim, classic);
+    return classic_analyze_defect(column, d, sim, classic);
   }
 
   // The classic refine loop, verbatim: derive the charging count at the
   // found border and re-search classically (warm-started) until the
   // condition stabilizes.  Running it through the classic search keeps the
-  // whole refine chain -- which the goldens pin -- identical to the
-  // surrogate-off path.
+  // whole refine chain -- which the goldens pin -- identical to
+  // classic_analyze_defect's.
   for (int it = 0; it < opt.refine_iterations && result.br.has_value(); ++it) {
     std::optional<DetectionCondition> refined;
     {
@@ -692,13 +693,13 @@ BorderResult analyze_defect_surrogate(dram::DramColumn& column,
     BorderOptions refine_opt = classic;
     refine_opt.bracket_hint = result.br;
     BorderResult again =
-        find_border_resistance(column, d, sim, *refined, range, refine_opt);
+        classic_find_border(column, d, sim, *refined, range, refine_opt);
     if (!again.br.has_value()) break;
     // The refined condition's crossing sits near the previous one, so the
     // previous slope stays a usable warm-start hint downstream.
     again.margin_slope = result.margin_slope;
     util::log_debug(util::format(
-        "analyze_defect_surrogate(%s): refined '%s' -> '%s', BR %s -> %s",
+        "analyze_defect(%s): refined '%s' -> '%s', BR %s -> %s",
         d.name().c_str(), result.condition.str().c_str(),
         refined->str().c_str(), util::eng(*result.br, "Ohm").c_str(),
         util::eng(*again.br, "Ohm").c_str()));

@@ -19,6 +19,9 @@
 // probe budget runs out, the search falls back to classic boolean bisection
 // -- on the sign-verified bracket when one exists (cheap), on the full
 // classic scan otherwise.  `surrogate.fallback` counts these.
+//
+// This is the only border search callers select: find_border_resistance
+// and analyze_defect (analysis/border.hpp) are defined here.
 #pragma once
 
 #include <functional>
@@ -63,14 +66,15 @@ struct SurrogateSearchResult {
 };
 
 /// Root-find the margin's zero crossing over `range`, starting near
-/// `prior_log_r` (ln ohms; clamp into range).  `series` selects the
+/// `prior_log_r` (ln ohms; clamp into range), to a bracket of opt.log_tol
+/// in ln R within opt.surrogate.max_probes probes.  `series` selects the
 /// crossing direction: series defects pass at low R and fail high
 /// (margin decreasing in R), shunts the mirror image.  Pure in `probe`:
 /// unit-testable against synthetic curves.
 SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
                                             const defect::SweepRange& range,
                                             bool series, double prior_log_r,
-                                            const SurrogateOptions& opt,
+                                            const BorderOptions& opt,
                                             std::optional<double> prior_slope =
                                                 std::nullopt);
 
@@ -107,30 +111,5 @@ private:
   FastCellModel model_;
   bool series_ = true;
 };
-
-/// Drop-in for find_border_resistance with the surrogate enabled: probes
-/// the real margin via condition_outcome, maps the crossing to a
-/// BorderResult, and handles the classic fallback internally.
-/// `prior_log_r`: ln ohms of the expected BR (from BorderOptions::
-/// bracket_hint or a BorderSurrogate prediction); nullopt = mid-range.
-BorderResult surrogate_find_border(dram::DramColumn& column,
-                                   const defect::Defect& d,
-                                   const dram::ColumnSimulator& sim,
-                                   const DetectionCondition& cond,
-                                   const defect::SweepRange& range,
-                                   const BorderOptions& opt,
-                                   std::optional<double> prior_log_r =
-                                       std::nullopt);
-
-/// Surrogate analogue of analyze_defect: one shared BorderSurrogate ranks
-/// and prunes the candidate conditions, priors chain from candidate to
-/// candidate, and the refine iterations warm-start from the found BR.
-/// Selection replicates the classic tie rule (first candidate within 0.15
-/// decades of the best wins) on *measured* decades of every searched
-/// candidate.
-BorderResult analyze_defect_surrogate(dram::DramColumn& column,
-                                      const defect::Defect& d,
-                                      const dram::ColumnSimulator& sim,
-                                      const BorderOptions& opt);
 
 }  // namespace dramstress::analysis

@@ -57,45 +57,6 @@ void VsaCache::insert(const dram::ColumnSimulator& sim,
   if (std::isfinite(result.threshold)) entries_.emplace(key, result);
 }
 
-VsaResult VsaCache::get_or_extract(const dram::ColumnSimulator& sim,
-                                   const defect::Defect& d, double r,
-                                   const VsaOptions& opt) {
-  const dram::OperatingConditions& c = sim.conditions();
-  const VsaCacheKey key{d.kind, d.side,  r,      c.vdd,
-                        c.temp_c, c.tcyc, c.duty, opt.tolerance};
-  // A non-finite key component (NaN resistance from a degenerate sweep,
-  // say) breaks the map's strict weak ordering, so bypass the cache
-  // entirely: extract and return without memoizing.
-  if (!std::isfinite(r) || !std::isfinite(c.vdd) || !std::isfinite(c.temp_c) ||
-      !std::isfinite(c.tcyc) || !std::isfinite(c.duty) ||
-      !std::isfinite(opt.tolerance)) {
-    obs::count("vsa_cache.bypass");
-    return extract_vsa(sim, d.side, opt);
-  }
-  {
-    util::MutexLock lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      obs::count("vsa_cache.hit");
-      return it->second;
-    }
-  }
-  // Extract outside the lock: the bisection is the expensive part and the
-  // result is deterministic, so a duplicate race costs time, not identity.
-  const VsaResult result = extract_vsa(sim, d.side, opt);
-  {
-    util::MutexLock lock(mu_);
-    ++misses_;
-    obs::count("vsa_cache.miss");
-    // A non-finite threshold means the extraction ran on a broken trace
-    // (e.g. truncated by a retry timeout); memoizing it would poison every
-    // later lookup of the same key, so count the miss but skip the insert.
-    if (std::isfinite(result.threshold)) entries_.emplace(key, result);
-  }
-  return result;
-}
-
 size_t VsaCache::hits() const {
   util::MutexLock lock(mu_);
   return hits_;

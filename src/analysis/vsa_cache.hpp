@@ -38,24 +38,18 @@ struct VsaCacheKey {
 
 class VsaCache {
 public:
-  /// Return the cached threshold for (d, r) under the simulator's corner,
-  /// or run extract_vsa and remember it.  The simulator's column must
-  /// already have `d` injected at resistance `r`.
-  VsaResult get_or_extract(const dram::ColumnSimulator& sim,
-                           const defect::Defect& d, double r,
-                           const VsaOptions& opt = {}) DS_EXCLUDES(mu_);
-
-  /// Cache probe without extraction, for callers that batch their misses
-  /// (the ensemble plane sweep).  Returns nullopt on a miss or when the
-  /// key has a non-finite component (bypass).
+  /// Cache probe without extraction: callers extract their misses (the
+  /// plane sweep batches them) and insert the results.  Returns nullopt
+  /// on a miss or when the key has a non-finite component (bypass: a NaN
+  /// would break the map's strict weak ordering).
   std::optional<VsaResult> lookup(const dram::ColumnSimulator& sim,
                                   const defect::Defect& d, double r,
                                   const VsaOptions& opt = {})
       DS_EXCLUDES(mu_);
 
-  /// Store an externally extracted result under the same key lookup uses.
-  /// Counted as a miss; non-finite keys/thresholds are skipped, as in
-  /// get_or_extract.
+  /// Store an extracted result under the same key lookup uses.  Counted as
+  /// a miss.  Non-finite keys are skipped, and so are non-finite
+  /// thresholds (a broken trace must not poison later lookups).
   void insert(const dram::ColumnSimulator& sim, const defect::Defect& d,
               double r, const VsaOptions& opt, const VsaResult& result)
       DS_EXCLUDES(mu_);

@@ -74,8 +74,8 @@ CacheKey unit_key(const CampaignSpec& spec, const std::string& netsig,
     h.feed(static_cast<long>(spec.plane_r_points))
         .feed(static_cast<long>(spec.plane_ops_per_point));
   } else {
-    // Border extraction options (defaults; campaign uses BorderOptions{}
-    // with only the spec's surrogate block applied on top).
+    // Border extraction options: campaigns run BorderOptions{}, so every
+    // default that shapes the search is a result input.
     const analysis::BorderOptions b;
     h.feed(static_cast<long>(b.scan_points))
         .feed(b.log_tol)
@@ -84,15 +84,10 @@ CacheKey unit_key(const CampaignSpec& spec, const std::string& netsig,
         .feed(b.detection.saturation_epsilon)
         .feed(b.detection.include_coupling);
     for (const double t : b.detection.retention_times) h.feed(t);
-    // The surrogate search takes a different probe path, so its switch
-    // and every knob that shapes it are result inputs.
-    const analysis::SurrogateOptions so;
-    h.feed(spec.surrogate_enabled)
-        .feed(spec.surrogate_tol)
-        .feed(static_cast<long>(so.max_probes))
-        .feed(so.prune_margin_decades)
-        .feed(static_cast<long>(so.vsa_knots))
-        .feed(so.vsa_tol);
+    h.feed(static_cast<long>(b.surrogate.max_probes))
+        .feed(b.surrogate.prune_margin_decades)
+        .feed(static_cast<long>(b.surrogate.vsa_knots))
+        .feed(b.surrogate.vsa_tol);
   }
   if (kind == UnitKind::Optimize) {
     const stress::OptimizerOptions o;

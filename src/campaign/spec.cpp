@@ -311,10 +311,26 @@ std::optional<CampaignSpec> parse_spec(const std::string& text,
   }
   if (const Value* sg = member(ctx, root, "surrogate", Value::Kind::Object,
                                "an object", /*required=*/false, "spec")) {
+    // Retired: {"enabled": true, "tol": 0.02} (what older run directories
+    // recorded) loads as a no-op; anything else asked for a search switch
+    // or a separate tolerance that no longer exist.
     check_keys(ctx, *sg, {"enabled", "tol"}, "\"surrogate\"");
-    flag_in(ctx, *sg, "enabled", &spec.surrogate_enabled, "\"surrogate\"");
-    number_in(ctx, *sg, "tol", 1e-4, 1.0, &spec.surrogate_tol,
-              "\"surrogate\"");
+    bool enabled = true;
+    flag_in(ctx, *sg, "enabled", &enabled, "\"surrogate\"");
+    if (!enabled)
+      ctx.diag(Code::SpecBadValue,
+               "\"surrogate\" field \"enabled\": the classic-only border "
+               "search was removed; every search is surrogate-first with a "
+               "classic fallback (drop the block)",
+               sg->find("enabled")->offset);
+    const Value* tol = member(ctx, *sg, "tol", Value::Kind::Number,
+                              "a number", /*required=*/false, "\"surrogate\"");
+    if (tol != nullptr && tol->number != 0.02)
+      ctx.diag(Code::SpecBadValue,
+               "\"surrogate\" field \"tol\": the separate surrogate "
+               "tolerance was removed; border searches use the fixed ln(R) "
+               "tolerance 0.02 (drop the block)",
+               tol->offset);
   }
   if (const Value* rt = member(ctx, root, "retry", Value::Kind::Object,
                                "an object", /*required=*/false, "spec")) {
@@ -378,10 +394,6 @@ std::string spec_json(const CampaignSpec& spec) {
   w.key("lte_tol").value(spec.settings.lte_tol);
   w.key("dt").value(spec.settings.dt);
   w.key("reuse_jacobian").value(spec.settings.reuse_jacobian);
-  w.end_object();
-  w.key("surrogate").begin_object();
-  w.key("enabled").value(spec.surrogate_enabled);
-  w.key("tol").value(spec.surrogate_tol);
   w.end_object();
   w.key("retry").begin_object();
   w.key("max_attempts").value(spec.retry.max_attempts);

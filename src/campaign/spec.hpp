@@ -17,7 +17,6 @@
 //     "analyses": ["border", "planes", "optimize"],
 //     "planes": {"r_points": 7, "ops_per_point": 3},
 //     "settings": {"lte_tol": 5e-4, "dt": 1e-10},
-//     "surrogate": {"enabled": true, "tol": 0.02},
 //     "retry": {"max_attempts": 3, "timeout_s": 0, "damping_backoff": 0.5}
 //   }
 #pragma once
@@ -26,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/surrogate_options.hpp"
 #include "defect/defect.hpp"
 #include "dram/column_sim.hpp"
 #include "stress/stress.hpp"
@@ -69,13 +67,6 @@ struct CampaignSpec {
   int plane_r_points = 9;
   int plane_ops_per_point = 3;
   dram::SimSettings settings;
-  /// Surrogate-accelerated border searches (docs/ANALYSIS.md).  The
-  /// defaults follow the session's process-wide choice (--surrogate /
-  /// --no-surrogate / --surrogate-tol); an explicit "surrogate" block in
-  /// the spec pins them so the run directory's spec.json is
-  /// self-describing.  Both values feed every border/optimize cache key.
-  bool surrogate_enabled = analysis::default_surrogate_enabled();
-  double surrogate_tol = analysis::default_surrogate_tol();
   RetryPolicy retry;
 };
 

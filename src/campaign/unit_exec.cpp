@@ -46,11 +46,8 @@ std::string compute_unit_payload(const CampaignPlan& plan, const WorkUnit& u,
   std::optional<analysis::BorderResult> border_state;
   switch (u.kind) {
     case UnitKind::Border: {
-      analysis::BorderOptions bo;
-      bo.surrogate.enabled = plan.spec.surrogate_enabled;
-      bo.surrogate.tol = plan.spec.surrogate_tol;
       const analysis::BorderResult r =
-          analysis::analyze_defect(column, d, sim, bo);
+          analysis::analyze_defect(column, d, sim);
       analysis::append_json(inner, r, range);
       border_state = r;
       break;
@@ -72,8 +69,6 @@ std::string compute_unit_payload(const CampaignPlan& plan, const WorkUnit& u,
     case UnitKind::Optimize: {
       stress::OptimizerOptions oo;
       oo.settings = settings;
-      oo.border.surrogate.enabled = plan.spec.surrogate_enabled;
-      oo.border.surrogate.tol = plan.spec.surrogate_tol;
       // The border unit already ran this corner's Section-3 analysis with
       // these border options: start from its state instead of redoing it.
       const util::json::Value border = util::json::parse(u.border_payload);
@@ -174,10 +169,6 @@ std::string report_json(const CampaignPlan& plan,
   util::json::Writer w;
   w.begin_object();
   w.key("campaign").value(plan.spec.name);
-  w.key("surrogate").begin_object();
-  w.key("enabled").value(plan.spec.surrogate_enabled);
-  w.key("tol").value(plan.spec.surrogate_tol);
-  w.end_object();
   long transients_total = 0;
   w.key("units");
   w.begin_array();

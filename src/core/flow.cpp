@@ -112,13 +112,8 @@ BorderResult StressFlow::mirrored_border(
   dram::ColumnSimulator sim(column_, sc, options_.settings);
   const auto range = defect::default_sweep_range(comp_defect.kind);
   analysis::BorderOptions bopt = options_.border;
-  // The classic search honours bracket_hint too, but historically ran
-  // un-hinted here; apply the warm start only on the surrogate path so
-  // --no-surrogate stays byte-identical with the pre-surrogate flow.
-  if (bopt.surrogate.enabled) {
-    bopt.bracket_hint = hint;
-    bopt.margin_slope_hint = slope;
-  }
+  bopt.bracket_hint = hint;
+  bopt.margin_slope_hint = slope;
   return analysis::find_border_resistance(
       column_, comp_defect, sim, stress::mirror_condition(true_condition),
       range, bopt);

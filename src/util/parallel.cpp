@@ -15,7 +15,7 @@ int env_threads() {
   if (!s || !*s) return 0;
   char* end = nullptr;
   const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 1 || v > 4096) return 0;
+  if (end == s || *end != '\0' || v < 1 || v > kMaxThreads) return 0;
   return static_cast<int>(v);
 }
 

@@ -68,6 +68,10 @@ struct ParallelOptions {
   size_t min_chunk = 1; // smallest index range a worker grabs at once
 };
 
+/// Largest team size DRAMSTRESS_THREADS and the CLI thread-count flags
+/// accept; larger values are rejected, not clamped.
+constexpr int kMaxThreads = 4096;
+
 /// std::thread::hardware_concurrency(), never less than 1.
 int hardware_threads();
 

@@ -551,8 +551,6 @@ TEST(CampaignRunnerTest, OptimizeStartsFromItsBorderUnitsResult) {
   dram::DramColumn column(dram::default_technology());
   stress::OptimizerOptions oo;
   oo.settings = spec.settings;
-  oo.border.surrogate.enabled = spec.surrogate_enabled;
-  oo.border.surrogate.tol = spec.surrogate_tol;
   const long t0 = dram::thread_transients();
   const stress::OptimizationResult scratch = stress::optimize_stresses(
       column, d, plan.point_of(plan.units[1]).condition, oo);

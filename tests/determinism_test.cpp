@@ -4,6 +4,8 @@
 // exactly what a fresh extraction would.  This test also runs under the
 // DRAMSTRESS_SANITIZE=thread build, where it doubles as the structural
 // data-race check for the pool.
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "analysis/result_plane.hpp"
@@ -69,19 +71,23 @@ TEST(Determinism, VsaCacheHitMatchesUncachedExtraction) {
 
   const analysis::VsaResult uncached = analysis::extract_vsa(sim, d.side);
   analysis::VsaCache cache;
-  const analysis::VsaResult miss = cache.get_or_extract(sim, d, 200e3);
-  const analysis::VsaResult hit = cache.get_or_extract(sim, d, 200e3);
+  EXPECT_FALSE(cache.lookup(sim, d, 200e3).has_value());
+  cache.insert(sim, d, 200e3, {}, analysis::extract_vsa(sim, d.side));
+  const std::optional<analysis::VsaResult> hit = cache.lookup(sim, d, 200e3);
+  ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(miss.kind, uncached.kind);
-  EXPECT_EQ(hit.kind, uncached.kind);
-  EXPECT_DOUBLE_EQ(miss.threshold, uncached.threshold);
-  EXPECT_DOUBLE_EQ(hit.threshold, uncached.threshold);
+  EXPECT_EQ(hit->kind, uncached.kind);
+  EXPECT_DOUBLE_EQ(hit->threshold, uncached.threshold);
 
   // A different resistance or tolerance is a different key.
+  analysis::VsaOptions coarse;
+  coarse.tolerance *= 2.0;
+  EXPECT_FALSE(cache.lookup(sim, d, 200e3, coarse).has_value());
   inj.set_value(400e3);
-  cache.get_or_extract(sim, d, 400e3);
+  EXPECT_FALSE(cache.lookup(sim, d, 400e3).has_value());
+  cache.insert(sim, d, 400e3, {}, analysis::extract_vsa(sim, d.side));
   EXPECT_EQ(cache.size(), 2u);
 }
 

@@ -1,9 +1,8 @@
 // Surrogate-accelerated border search (src/analysis/surrogate):
 // root-search behaviour on synthetic margin curves (crossing location,
-// probe economy, fallback semantics), agreement of the surrogate analyze
-// with the classic scan+bisection on every Table-1 defect, the off-switch
-// contract (--no-surrogate reproduces the classic path including its
-// transient count), and thread-count determinism of a surrogate campaign.
+// probe economy, fallback semantics), agreement of analyze_defect with the
+// classic scan+bisection on every Table-1 defect, the retired campaign
+// "surrogate" block, and thread-count determinism of a campaign.
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -33,7 +32,6 @@ namespace fs = std::filesystem;
 using analysis::BorderOptions;
 using analysis::BorderResult;
 using analysis::MarginProbe;
-using analysis::SurrogateOptions;
 using analysis::SurrogateSearchResult;
 using defect::DefectKind;
 using defect::SweepRange;
@@ -52,14 +50,14 @@ TEST(SurrogateRootSearchTest, FindsMonotoneSeriesCrossing) {
     ++evals;
     return 0.8 * (kX0 - std::log(r));
   };
-  const SurrogateOptions opt;
+  const BorderOptions opt;
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
       probe, kRange, /*series=*/true, std::log(2e5), opt);
   ASSERT_TRUE(sr.br.has_value());
   EXPECT_FALSE(sr.fell_back);
   EXPECT_FALSE(sr.fails_everywhere);
-  // The bracket tolerance is opt.tol in ln R; allow twice that.
-  EXPECT_NEAR(std::log(*sr.br), kX0, 2.0 * opt.tol);
+  // The bracket tolerance is opt.log_tol in ln R; allow twice that.
+  EXPECT_NEAR(std::log(*sr.br), kX0, 2.0 * opt.log_tol);
   // An analog margin must cost far fewer probes than the classic
   // scan+bisection budget (9 scan points plus ~6 bisections).
   EXPECT_LE(evals, 10);
@@ -71,18 +69,18 @@ TEST(SurrogateRootSearchTest, FindsMonotoneShuntCrossing) {
   const MarginProbe probe = [&](double r) {
     return 0.8 * (std::log(r) - kX0);
   };
-  const SurrogateOptions opt;
+  const BorderOptions opt;
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
       probe, kRange, /*series=*/false, std::log(4e6), opt);
   ASSERT_TRUE(sr.br.has_value());
   EXPECT_FALSE(sr.fell_back);
-  EXPECT_NEAR(std::log(*sr.br), kX0, 2.0 * opt.tol);
+  EXPECT_NEAR(std::log(*sr.br), kX0, 2.0 * opt.log_tol);
   ASSERT_TRUE(sr.crossing_slope.has_value());
   EXPECT_GT(*sr.crossing_slope, 0.0);
 }
 
 TEST(SurrogateRootSearchTest, RangeWideVerdictsMatchClassicSemantics) {
-  const SurrogateOptions opt;
+  const BorderOptions opt;
   // Never fails: br stays empty, no fallback.
   const SurrogateSearchResult never = analysis::surrogate_root_search(
       [](double) { return 0.5; }, kRange, /*series=*/true, kX0, opt);
@@ -110,7 +108,7 @@ TEST(SurrogateRootSearchTest, NonMonotoneSamplesForceFallback) {
     if (x < x_start + 1.0) return 0.4;
     return -1.0;
   };
-  const SurrogateOptions opt;
+  const BorderOptions opt;
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
       probe, kRange, /*series=*/true, x_start, opt);
   EXPECT_TRUE(sr.fell_back);
@@ -122,8 +120,8 @@ TEST(SurrogateRootSearchTest, NonMonotoneSamplesForceFallback) {
 }
 
 TEST(SurrogateRootSearchTest, ProbeBudgetExhaustionFallsBack) {
-  SurrogateOptions opt;
-  opt.max_probes = 3;
+  BorderOptions opt;
+  opt.surrogate.max_probes = 3;
   // Crossing sits many hops away from the prior; three probes cannot
   // reach it.
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
@@ -146,16 +144,12 @@ TEST(SurrogateAnalyzeTest, AgreesWithClassicOnAllTableOneDefects) {
   long surrogate_total = 0;
   for (const DefectKind k : kinds) {
     const defect::Defect d{k, dram::Side::True};
-    BorderOptions classic;
-    classic.surrogate.enabled = false;
     long t0 = dram::thread_transients();
-    const BorderResult cr = analysis::analyze_defect(column, d, sim, classic);
+    const BorderResult cr = analysis::classic_analyze_defect(column, d, sim);
     classic_total += dram::thread_transients() - t0;
 
-    BorderOptions surr;
-    surr.surrogate.enabled = true;
     t0 = dram::thread_transients();
-    const BorderResult sr = analysis::analyze_defect(column, d, sim, surr);
+    const BorderResult sr = analysis::analyze_defect(column, d, sim);
     surrogate_total += dram::thread_transients() - t0;
 
     // The surrogate ranks candidates but the winner is re-measured
@@ -170,39 +164,6 @@ TEST(SurrogateAnalyzeTest, AgreesWithClassicOnAllTableOneDefects) {
   }
   // The whole point: same answers, meaningfully fewer transients.
   EXPECT_LT(surrogate_total, classic_total);
-}
-
-// --- off switch ----------------------------------------------------------
-
-TEST(SurrogateAnalyzeTest, OffSwitchReproducesClassicPathExactly) {
-  // --no-surrogate flips the process default; a default-constructed
-  // BorderOptions must then take the classic path, matching an explicitly
-  // classic run in both answers and transient count (same code path, so
-  // byte-for-byte outputs).
-  const bool saved = analysis::default_surrogate_enabled();
-  analysis::set_default_surrogate_enabled(false);
-  dram::DramColumn column;
-  dram::ColumnSimulator sim(column, stress::nominal_condition());
-  const defect::Defect d{DefectKind::O3, dram::Side::True};
-
-  long t0 = dram::thread_transients();
-  const BorderResult via_default =
-      analysis::analyze_defect(column, d, sim, BorderOptions{});
-  const long default_cost = dram::thread_transients() - t0;
-
-  BorderOptions classic;
-  classic.surrogate.enabled = false;
-  t0 = dram::thread_transients();
-  const BorderResult via_classic =
-      analysis::analyze_defect(column, d, sim, classic);
-  const long classic_cost = dram::thread_transients() - t0;
-  analysis::set_default_surrogate_enabled(saved);
-
-  ASSERT_TRUE(via_default.br.has_value());
-  ASSERT_TRUE(via_classic.br.has_value());
-  EXPECT_DOUBLE_EQ(*via_default.br, *via_classic.br);
-  EXPECT_EQ(via_default.condition.str(), via_classic.condition.str());
-  EXPECT_EQ(default_cost, classic_cost);
 }
 
 // --- campaign integration ------------------------------------------------
@@ -225,40 +186,54 @@ campaign::CampaignSpec spec_of(const std::string& text) {
   return spec.value();
 }
 
-TEST(SurrogateCampaignTest, SpecSurrogateBlockRoundTrips) {
-  const campaign::CampaignSpec spec = spec_of(R"({
-    "name": "s",
-    "defects": ["o3"],
-    "points": [{"name": "nominal"}],
-    "surrogate": {"enabled": false, "tol": 0.05}
-  })");
-  EXPECT_FALSE(spec.surrogate_enabled);
-  EXPECT_DOUBLE_EQ(spec.surrogate_tol, 0.05);
-  const std::string json = campaign::spec_json(spec);
-  EXPECT_NE(json.find("\"surrogate\""), std::string::npos);
-  const campaign::CampaignSpec again = spec_of(json);
-  EXPECT_FALSE(again.surrogate_enabled);
-  EXPECT_DOUBLE_EQ(again.surrogate_tol, 0.05);
+std::string spec_with_surrogate_block(const std::string& block) {
+  return R"({"name": "s", "defects": ["o3"], "points": [{"name": "nominal"}],
+             "analyses": ["border", "optimize"], "surrogate": )" +
+         block + "}";
 }
 
-TEST(SurrogateCampaignTest, SurrogateChoiceFeedsBorderCacheKeysOnly) {
-  campaign::CampaignSpec spec = spec_of(R"({
-    "name": "keys",
-    "defects": ["o3"],
-    "points": [{"name": "nominal"}],
-    "analyses": ["border", "planes"]
+TEST(SurrogateCampaignTest, SpecSurrogateBlockIsRetired) {
+  // Older run directories recorded {"enabled": true, "tol": 0.02} in
+  // spec.json.  That block, or any subset of it, loads as a no-op: the
+  // spec no longer writes it back and plans the same unit keys as a spec
+  // without it, so `campaign status|gc` and --resume keep working.
+  const campaign::CampaignSpec plain = spec_of(R"({
+    "name": "s", "defects": ["o3"], "points": [{"name": "nominal"}],
+    "analyses": ["border", "optimize"]
   })");
   dram::DramColumn column(dram::default_technology());
-  spec.surrogate_enabled = true;
-  const campaign::CampaignPlan on = campaign::expand(spec, column);
-  spec.surrogate_enabled = false;
-  const campaign::CampaignPlan off = campaign::expand(spec, column);
-  ASSERT_EQ(on.units.size(), 2u);
-  ASSERT_EQ(on.units[0].kind, campaign::UnitKind::Border);
-  // The search path changes the border unit's inputs but not the plane
-  // sweep's (planes never run a border search).
-  EXPECT_NE(on.units[0].key.hex(), off.units[0].key.hex());
-  EXPECT_EQ(on.units[1].key.hex(), off.units[1].key.hex());
+  const campaign::CampaignPlan plain_plan = campaign::expand(plain, column);
+  ASSERT_EQ(plain_plan.units.size(), 2u);
+  for (const char* block : {R"({"enabled": true, "tol": 0.02})",
+                            R"({"enabled": true})", R"({"tol": 0.02})",
+                            "{}"}) {
+    verify::VerifyReport report;
+    const std::optional<campaign::CampaignSpec> legacy =
+        campaign::parse_spec(spec_with_surrogate_block(block), &report);
+    ASSERT_TRUE(legacy.has_value()) << block << report.str();
+    EXPECT_TRUE(report.clean()) << block << report.str();
+    EXPECT_EQ(campaign::spec_json(*legacy), campaign::spec_json(plain));
+    const campaign::CampaignPlan plan = campaign::expand(*legacy, column);
+    for (size_t i = 0; i < plan.units.size(); ++i)
+      EXPECT_EQ(plan.units[i].key.hex(), plain_plan.units[i].key.hex());
+  }
+  EXPECT_EQ(campaign::spec_json(plain).find("surrogate"), std::string::npos);
+
+  // Asking for the removed classic-only search or another tolerance would
+  // silently run something else, so it is an error naming the removal.
+  for (const char* block : {R"({"enabled": false})", R"({"tol": 0.05})",
+                            R"({"enabled": false, "tol": 0.05})"}) {
+    verify::VerifyReport report;
+    EXPECT_FALSE(
+        campaign::parse_spec(spec_with_surrogate_block(block), &report)
+            .has_value())
+        << block;
+    ASSERT_TRUE(report.has(verify::Code::SpecBadValue)) << report.str();
+    EXPECT_NE(report.find(verify::Code::SpecBadValue)->message.find("removed"),
+              std::string::npos)
+        << report.str();
+    EXPECT_FALSE(report.has(verify::Code::SpecUnknownKey)) << report.str();
+  }
 }
 
 TEST(SurrogateCampaignTest, ReportIsThreadCountInvariantAndCountsTransients) {

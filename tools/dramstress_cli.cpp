@@ -11,8 +11,9 @@
 // defect in {o1,o2,o3,sg,sv,b1,b2,b3}; side in {true,comp} (default true);
 // R accepts engineering suffixes ("200k").
 //
-// --threads N caps the sweep worker pool (default: DRAMSTRESS_THREADS or
-// all hardware threads); results are identical for every thread count.
+// --threads N (1..4096) caps the sweep worker pool (default:
+// DRAMSTRESS_THREADS or all hardware threads); results are identical for
+// every thread count.
 //
 // Every column transient runs on the ensemble engine with LTE-controlled
 // stepping; result planes batch their R points as lanes sized to the worker
@@ -21,11 +22,6 @@
 // (default 5e-4; tighter tracks the fixed-step reference closer at the
 // cost of more steps).
 //
-// --surrogate / --no-surrogate switches the surrogate-accelerated border
-// search (docs/ANALYSIS.md) on or off process-wide (default: on;
-// --no-surrogate reproduces the classic scan+bisection byte-for-byte);
-// --surrogate-tol X sets its ln(R) bracket tolerance (default 0.02).
-//
 // --verify runs the static netlist verification (docs/LINT.md) over the
 // column and every defect placeholder before the command, failing on
 // errors; --verify=strict also fails on warnings.  With no command,
@@ -33,11 +29,13 @@
 //
 // --metrics FILE writes a versioned run manifest (settings, git revision,
 // duration, full metric dump) on success; --trace FILE writes the span
-// timing tree.  Schemas: docs/OBSERVABILITY.md.  --r-points N sets the
-// resistance grid size of `planes` (default 15).
+// timing tree.  Schemas: docs/OBSERVABILITY.md.  --r-points N (2..512) sets
+// the resistance grid size of `planes` (default 15).
 //
-// The analysis commands reject any other argument that starts with "--";
-// `campaign` and the service verbs parse their own flags.
+// The analysis commands reject any other argument that starts with "--".
+// `campaign` and the service verbs parse their own flags and accept only
+// --threads, --metrics and --trace of the flags above: a campaign's
+// numerics come from its spec alone.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,7 +52,6 @@
 #include <thread>
 
 #include "analysis/result_plane.hpp"
-#include "analysis/surrogate_options.hpp"
 #include "campaign/cache_index.hpp"
 #include "campaign/runner.hpp"
 #include "circuit/spice_reader.hpp"  // parse_spice_number
@@ -79,8 +76,6 @@ int usage() {
                "<analyze|optimize|report|table1|ffm|planes|check-manifest>\n"
                "                  [defect] [side] [R|file] [--threads N]\n"
                "                  [--lte-tol X] [--verify[=strict]]\n"
-               "                  [--surrogate|--no-surrogate] "
-               "[--surrogate-tol X]\n"
                "                  [--metrics FILE] [--trace FILE] "
                "[--r-points N]\n"
                "       dramstress campaign run <spec.json> [--out DIR] "
@@ -103,9 +98,7 @@ int usage() {
                "  --metrics/--trace write a run manifest / span trace "
                "(docs/OBSERVABILITY.md)\n"
                "  campaign: resumable batch runs with a result cache "
-               "(docs/CAMPAIGN.md)\n"
-               "  --no-surrogate: classic border searches only "
-               "(docs/ANALYSIS.md)\n");
+               "(docs/CAMPAIGN.md)\n");
   return 2;
 }
 
@@ -117,36 +110,38 @@ struct EngineFlags {
   int r_points = 15;        // resistance grid size of `planes`
   std::string metrics_path;  // --metrics FILE; empty = no manifest
   std::string trace_path;    // --trace FILE; empty = no trace
+  /// --lte-tol, --verify or --r-points was given: valid only on the
+  /// analysis commands.
+  bool analysis_only = false;
 };
 
-/// Strip --threads[=| ]N, --lte-tol[=| ]X, --surrogate/--no-surrogate,
-/// --surrogate-tol[=| ]X, --verify[=strict], --metrics, --trace and
-/// --r-points from argv, applying them to the sweep pool / the surrogate
-/// process defaults / `flags`.  Returns the remaining arguments, unknown
-/// flags included; false on a malformed flag.
+/// Strict decimal integer in [lo, hi]; false on anything else.
+bool parse_bounded(const char* s, long lo, long hi, long* out) {
+  char* end = nullptr;
+  const long n = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || n < lo || n > hi) return false;
+  *out = n;
+  return true;
+}
+
+/// Strip --threads[=| ]N, --lte-tol[=| ]X, --verify[=strict], --metrics,
+/// --trace and --r-points from argv, applying them to the sweep pool /
+/// `flags`.  Returns the remaining arguments, unknown flags included;
+/// false on a malformed flag.
 bool extract_flags(int argc, char** argv, std::vector<char*>* args,
                    EngineFlags* flags) {
   for (int i = 0; i < argc; ++i) {
     const char* a = argv[i];
     const char* value = nullptr;
     bool is_tol = false;
-    bool is_surrogate_tol = false;
     bool is_r_points = false;
     std::string* path = nullptr;
-    if (std::strcmp(a, "--surrogate") == 0) {
-      analysis::set_default_surrogate_enabled(true);
-      continue;
-    }
-    if (std::strcmp(a, "--no-surrogate") == 0) {
-      analysis::set_default_surrogate_enabled(false);
-      continue;
-    }
     if (std::strcmp(a, "--verify") == 0) {
-      flags->verify = true;
+      flags->verify = flags->analysis_only = true;
       continue;
     }
     if (std::strcmp(a, "--verify=strict") == 0) {
-      flags->verify = flags->verify_strict = true;
+      flags->verify = flags->verify_strict = flags->analysis_only = true;
       continue;
     }
     if (std::strncmp(a, "--metrics=", 10) == 0) {
@@ -181,13 +176,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
       if (i + 1 >= argc) return false;
       value = argv[++i];
       is_tol = true;
-    } else if (std::strncmp(a, "--surrogate-tol=", 16) == 0) {
-      value = a + 16;
-      is_surrogate_tol = true;
-    } else if (std::strcmp(a, "--surrogate-tol") == 0) {
-      if (i + 1 >= argc) return false;
-      value = argv[++i];
-      is_surrogate_tol = true;
     } else if (std::strncmp(a, "--threads=", 10) == 0) {
       value = a + 10;
     } else if (std::strcmp(a, "--threads") == 0) {
@@ -197,23 +185,20 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
       args->push_back(argv[i]);
       continue;
     }
-    char* end = nullptr;
+    long n = 0;
     if (is_tol) {
+      char* end = nullptr;
       const double tol = std::strtod(value, &end);
       if (end == value || *end != '\0' || tol <= 0.0) return false;
       flags->lte_tol = tol;
-    } else if (is_surrogate_tol) {
-      const double tol = std::strtod(value, &end);
-      if (end == value || *end != '\0' || tol <= 0.0 || tol > 1.0)
-        return false;
-      analysis::set_default_surrogate_tol(tol);
+      flags->analysis_only = true;
     } else if (is_r_points) {
-      const long n = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || n < 2) return false;
+      // The bound of a campaign spec's "planes.r_points".
+      if (!parse_bounded(value, 2, 512, &n)) return false;
       flags->r_points = static_cast<int>(n);
+      flags->analysis_only = true;
     } else {
-      const long n = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || n < 1) return false;
+      if (!parse_bounded(value, 1, util::kMaxThreads, &n)) return false;
       util::set_default_threads(static_cast<int>(n));
     }
   }
@@ -248,16 +233,20 @@ void show_border(const analysis::BorderResult& br,
               br.condition.str().c_str());
 }
 
-/// Manifest header/settings for this invocation.
+/// Manifest header/settings for this invocation.  A spec-driven command's
+/// numerics live in its spec, so only the analysis commands record the
+/// command line's lte_tol and r_points.
 obs::ManifestInfo make_manifest_info(const EngineFlags& eng,
                                      const std::string& cmdline,
-                                     double duration_s) {
+                                     double duration_s, bool spec_driven) {
   obs::ManifestInfo info;
   info.tool = "dramstress";
   info.command = cmdline;
   info.settings_number["threads"] = util::resolve_threads(0);
-  info.settings_number["lte_tol"] = eng.lte_tol;
-  info.settings_number["r_points"] = eng.r_points;
+  if (!spec_driven) {
+    info.settings_number["lte_tol"] = eng.lte_tol;
+    info.settings_number["r_points"] = eng.r_points;
+  }
   info.duration_s = duration_s;
   return info;
 }
@@ -282,7 +271,7 @@ int check_manifest(const char* path) {
 }
 
 /// `campaign run|status|gc` (docs/CAMPAIGN.md).
-int run_campaign(int argc, char** argv, const EngineFlags& eng) {
+int run_campaign(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string sub = argv[2];
   std::string out = "campaign-run";
@@ -407,7 +396,6 @@ int run_campaign(int argc, char** argv, const EngineFlags& eng) {
     return 0;
   }
 
-  (void)eng;
   return usage();
 }
 
@@ -503,9 +491,8 @@ bool extract_service_flags(int argc, char** argv, int from,
       f->cache_mem = static_cast<size_t>(v);
       continue;
     }
-    char* end = nullptr;
-    const long n = std::strtol(num, &end, 10);
-    if (end == num || *end != '\0' || n < 1) return false;
+    long n = 0;
+    if (!parse_bounded(num, 1, util::kMaxThreads, &n)) return false;
     if (is_workers) f->workers = static_cast<int>(n);
     if (is_io) f->io_threads = static_cast<int>(n);
   }
@@ -776,12 +763,15 @@ int main(int raw_argc, char** raw_argv) {
     return check_manifest(argv[2]);
   }
 
+  const bool spec_driven = cmd == "campaign" || cmd == "serve" ||
+                           cmd == "submit" || cmd == "watch" ||
+                           cmd == "status" || cmd == "shutdown";
+  if (spec_driven && eng.analysis_only) return usage();
   int rc = 1;
   try {
     if (cmd == "campaign") {
-      rc = run_campaign(argc, argv, eng);
-    } else if (cmd == "serve" || cmd == "submit" || cmd == "watch" ||
-               cmd == "status" || cmd == "shutdown") {
+      rc = run_campaign(argc, argv);
+    } else if (spec_driven) {
       rc = run_service_verb(cmd, argc, argv);
     } else {
       for (int i = 1; i < argc; ++i)
@@ -807,7 +797,7 @@ int main(int raw_argc, char** raw_argv) {
         std::chrono::steady_clock::now() - t0;
     try {
       const obs::ManifestInfo info =
-          make_manifest_info(eng, cmdline, wall.count());
+          make_manifest_info(eng, cmdline, wall.count(), spec_driven);
       if (!eng.metrics_path.empty()) obs::write_manifest(eng.metrics_path, info);
       if (!eng.trace_path.empty()) obs::write_trace(eng.trace_path, info);
     } catch (const Error& e) {
