@@ -102,8 +102,10 @@ BorderResult classic_find_border(dram::DramColumn& column,
         if (fails_at(hi) == series) break;
       }
     }
-    result.br = numeric::bisect_predicate_log(
-        [&](double r) { return fails_at(r); }, lo, hi, {.x_tol = opt.log_tol});
+    // Both ends were just probed: lo reads !series, hi reads series.
+    result.br = numeric::bisect_known_log(
+        [&](double r) { return fails_at(r); }, lo, hi, !series,
+        {.x_tol = opt.log_tol});
     return finish();
   }
 
@@ -137,10 +139,12 @@ BorderResult classic_find_border(dram::DramColumn& column,
     return finish();
   }
 
-  const double lo = result.fault_at_high_r ? grid[e - 1] : grid[e];
-  const double hi = result.fault_at_high_r ? grid[e] : grid[e + 1];
-  result.br = numeric::bisect_predicate_log(
-      [&](double r) { return fails_at(r); }, lo, hi, {.x_tol = opt.log_tol});
+  // The scan already holds both verdicts: lo reads !series, hi reads series.
+  const double lo = series ? grid[e - 1] : grid[e];
+  const double hi = series ? grid[e] : grid[e + 1];
+  result.br = numeric::bisect_known_log(
+      [&](double r) { return fails_at(r); }, lo, hi, !series,
+      {.x_tol = opt.log_tol});
   return finish();
 }
 

@@ -85,8 +85,10 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
     insert_sample(out.samples, x, m);
     return m;
   };
-  auto give_up = [&](std::optional<double> bl, std::optional<double> bh) {
-    out.fell_back = true;
+  using GiveUp = SurrogateSearchResult::GiveUp;
+  auto give_up = [&](GiveUp why, std::optional<double> bl,
+                     std::optional<double> bh) {
+    out.give_up = why;
     if (bl.has_value()) out.bracket_lo = std::exp(*bl);
     if (bh.has_value()) out.bracket_hi = std::exp(*bh);
     obs::count("surrogate.refine", refine_probes);
@@ -141,7 +143,7 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
       return out;
     }
     if (out.probes >= max_probes)
-      return give_up(std::nullopt, std::nullopt);
+      return give_up(GiveUp::Budget, std::nullopt, std::nullopt);
     double hop = step;
     if (have_slope) {
       // Newton step off the latest sample, overshot by 25% so a good
@@ -206,8 +208,8 @@ SurrogateSearchResult surrogate_root_search(const MarginProbe& probe,
 
   // --- PCHIP refinement, probing only while the bracket is too wide -------
   while (bh - bl > tol) {
-    if (!shape_ok(out.samples, series)) return give_up(bl, bh);
-    if (out.probes >= max_probes) return give_up(bl, bh);
+    if (!shape_ok(out.samples, series)) return give_up(GiveUp::Shape, bl, bh);
+    if (out.probes >= max_probes) return give_up(GiveUp::Budget, bl, bh);
 
     std::vector<double> xs;
     std::vector<double> ys;
@@ -379,6 +381,13 @@ BorderSurrogate::Prediction BorderSurrogate::predict(
 
 namespace {
 
+/// One fallback to the classic search, counted under its cause; the bare
+/// `surrogate.fallback` counter is the sum over the causes.
+void count_fallback(const char* cause_counter) {
+  obs::count("surrogate.fallback");
+  obs::count(cause_counter);
+}
+
 /// find_border_resistance with an explicit prior: probes the real margin
 /// via condition_outcome, maps the crossing to a BorderResult, and handles
 /// the classic fallback internally.  `prior_log_r`: ln ohms of the expected
@@ -429,7 +438,7 @@ BorderResult surrogate_find_border(dram::DramColumn& column,
     // non-monotone predicate (B1's delayed read has two failing regions).
     // Only the classic full scan sees the whole range; let it re-decide.
     bool implausible =
-        prior_is_hint && !sr.fell_back &&
+        prior_is_hint && !sr.fell_back() &&
         (sr.br.has_value() && !sr.fails_everywhere
              ? std::abs(std::log10(*sr.br) - prior / std::numbers::ln10) > 1.5
              // A range-wide verdict (never fails / fails everywhere)
@@ -446,7 +455,7 @@ BorderResult surrogate_find_border(dram::DramColumn& column,
     // Vdd=2.7 V grows a passing gap right above such an island, moving the
     // classic BR a full decade).  A passing audit probe means the claim is
     // wrong at a point the classic search is guaranteed to see.
-    if (prior_is_hint && !sr.fell_back && !implausible && sr.br.has_value() &&
+    if (prior_is_hint && !sr.fell_back() && !implausible && sr.br.has_value() &&
         !sr.fails_everywhere) {
       const double lo_x = std::log(range.lo);
       const double hi_x = std::log(range.hi);
@@ -462,23 +471,30 @@ BorderResult surrogate_find_border(dram::DramColumn& column,
         if (!condition_fails(sim, d.side, cond)) implausible = true;
       }
     }
-    if (!sr.fell_back && !implausible) {
+    if (!sr.fell_back() && !implausible) {
       result.br = sr.br;
       result.fails_everywhere = sr.fails_everywhere;
       result.margin_slope = sr.crossing_slope;
       return result;
     }
-    obs::count("surrogate.fallback");
+    if (implausible)
+      count_fallback("surrogate.fallback.implausible");
+    else if (sr.give_up == SurrogateSearchResult::GiveUp::Shape)
+      count_fallback("surrogate.fallback.shape");
+    else
+      count_fallback("surrogate.fallback.budget");
     if (!implausible && sr.bracket_lo.has_value() &&
         sr.bracket_hi.has_value() && *sr.bracket_hi > *sr.bracket_lo) {
       // The flip is sign-verified inside the bracket: classic bisection
-      // can start there instead of re-scanning the whole range.
-      result.br = numeric::bisect_predicate_log(
+      // can start there instead of re-scanning the whole range.  The walk
+      // already probed both ends: the low one passes on a series defect
+      // and fails on a shunt.
+      result.br = numeric::bisect_known_log(
           [&](double r) {
             inj.set_value(r);
             return condition_fails(sim, d.side, cond);
           },
-          *sr.bracket_lo, *sr.bracket_hi, {.x_tol = opt.log_tol});
+          *sr.bracket_lo, *sr.bracket_hi, !series, {.x_tol = opt.log_tol});
       return result;
     }
   }
@@ -526,11 +542,34 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
   // probes are spent only where the prediction says the candidate could
   // plausibly win the widest-failing-range criterion.
   std::vector<BorderSurrogate::Prediction> preds(candidates.size());
-  double best_pred = -1.0;
+  std::vector<size_t> ranking;  // reliable predicted crossings, widest first
   for (size_t i = 0; i < candidates.size(); ++i) {
     preds[i] = prior.predict(candidates[i], range);
-    if (preds[i].reliable && preds[i].br.has_value())
-      best_pred = std::max(best_pred, preds[i].decades);
+    if (preds[i].reliable && preds[i].br.has_value()) ranking.push_back(i);
+  }
+  std::stable_sort(ranking.begin(), ranking.end(), [&](size_t a, size_t b) {
+    return preds[a].decades > preds[b].decades;
+  });
+
+  // Validity on the healthy column, probed at most once per candidate: a
+  // valid test must pass there (a 100 us retention pause falsely fails
+  // everything at +87 C), and only valid candidates can be selected.
+  std::vector<std::optional<bool>> validity(candidates.size());
+  auto valid = [&](size_t i) {
+    if (!validity[i].has_value())
+      validity[i] = condition_valid_on_healthy(sim, d.side, candidates[i]);
+    return *validity[i];
+  };
+  // Prune against the best prediction among *valid* candidates -- the set
+  // the classic path ranks.  An invalid candidate predicting the widest
+  // range would otherwise prune every valid one, lose the selection, and
+  // leave "not detectable" to the full classic re-analysis.
+  double best_pred = -1.0;
+  for (const size_t i : ranking) {
+    if (valid(i)) {
+      best_pred = preds[i].decades;
+      break;
+    }
   }
 
   // Measured BR landing further than this from the model's prediction means
@@ -552,10 +591,10 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
     BorderResult r;
     double decades;
     bool classic_measured;  // r already came from the classic full scan
-    bool validity_checked = false;
   };
   std::vector<Ranked> measured;
   for (size_t i = 0; i < candidates.size(); ++i) {
+    if (validity[i].has_value() && !*validity[i]) continue;  // never selected
     const DetectionCondition& cand = candidates[i];
     const BorderSurrogate::Prediction& pred = preds[i];
 
@@ -588,7 +627,7 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
     BorderResult r;
     bool classic_measured = false;
     if (model_contradicted) {
-      obs::count("surrogate.fallback");
+      count_fallback("surrogate.fallback.model");
       r = classic_find_border(column, d, sim, cand, range, classic);
       classic_measured = true;
     } else {
@@ -597,7 +636,7 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
       r = surrogate_find_border(column, d, sim, cand, range, opt, p);
       if (r.br.has_value() && pred.br.has_value() &&
           std::abs(std::log10(*r.br / *pred.br)) > kPredictionTrustDecades) {
-        obs::count("surrogate.fallback");
+        count_fallback("surrogate.fallback.model");
         r = classic_find_border(column, d, sim, cand, range, classic);
         classic_measured = true;
       }
@@ -627,15 +666,12 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
       }
     }
     Ranked& w = measured[win];
-    // Validity on the healthy column is checked lazily: only candidates
-    // that actually win pay the probe, but the final selection is drawn
-    // from exactly the valid set the classic path ranks.
-    if (!w.validity_checked) {
-      if (!condition_valid_on_healthy(sim, d.side, candidates[w.idx])) {
-        measured.erase(measured.begin() + static_cast<long>(win));
-        continue;
-      }
-      w.validity_checked = true;
+    // Validity is otherwise checked lazily: only candidates that actually
+    // win pay the probe, but the final selection is drawn from exactly the
+    // valid set the classic path ranks.
+    if (!valid(w.idx)) {
+      measured.erase(measured.begin() + static_cast<long>(win));
+      continue;
     }
     if (w.classic_measured) {
       result = std::move(w.r);
@@ -669,7 +705,7 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
     // between two passing endpoints (O2 at tcyc=55 ns/Vdd=2.1 V fails
     // only in a mid-range band) is invisible to an endpoint probe.  Only
     // the classic grid scan is authoritative for a negative answer.
-    obs::count("surrogate.fallback");
+    count_fallback("surrogate.fallback.negative");
     return classic_analyze_defect(column, d, sim, classic);
   }
 

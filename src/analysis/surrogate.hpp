@@ -18,7 +18,9 @@
 // Fallback semantics: if the collected margins violate monotonicity or the
 // probe budget runs out, the search falls back to classic boolean bisection
 // -- on the sign-verified bracket when one exists (cheap), on the full
-// classic scan otherwise.  `surrogate.fallback` counts these.
+// classic scan otherwise.  `surrogate.fallback` counts these, and one
+// `surrogate.fallback.<cause>` counter per cause says why
+// (docs/OBSERVABILITY.md).
 //
 // This is the only border search callers select: find_border_resistance
 // and analyze_defect (analysis/border.hpp) are defined here.
@@ -47,10 +49,14 @@ struct SurrogateSearchResult {
   /// Crossing resistance; nullopt when the condition never fails in range.
   std::optional<double> br;
   bool fails_everywhere = false;
-  /// Monotonicity violation or probe budget exhausted: the caller must
-  /// re-run the classic search.  When `bracket_lo/hi` are set the flip is
-  /// sign-verified between them and classic bisection can start there.
-  bool fell_back = false;
+  /// Why the search gave up, if it did: the samples broke the expected
+  /// monotone shape, or the probe budget ran out.  Either way the caller
+  /// must re-run the classic search.  When `bracket_lo/hi` are set the
+  /// flip is sign-verified between them and classic bisection can start
+  /// there.
+  enum class GiveUp { None, Shape, Budget };
+  GiveUp give_up = GiveUp::None;
+  bool fell_back() const { return give_up != GiveUp::None; }
   std::optional<double> bracket_lo;  // ohms
   std::optional<double> bracket_hi;  // ohms
   long probes = 0;

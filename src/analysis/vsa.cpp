@@ -31,11 +31,14 @@ VsaResult extract_vsa(const dram::ColumnSimulator& sim, dram::Side side,
   // At this point the read flips somewhere in (0, vdd).  A healthy column
   // reads 0 at 0 V and 1 at vdd; an inverted pair would indicate a
   // catastrophic defect -- treat the flip boundary as the threshold either
-  // way (bisection only needs the endpoints to differ).
+  // way (bisection only needs the endpoints to differ).  The two reads above
+  // are the endpoint verdicts: 0 V reads at_zero, vdd the opposite.
   out.kind = VsaResult::Kind::Normal;
-  out.threshold = numeric::bisect_predicate(
-      [&](double v) { return sim.read_of_initial(v, side) == at_zero; }, 0.0,
-      vdd, {.x_tol = opt.tolerance});
+  out.threshold =
+      numeric::bisect_known_bracket(
+          [&](double v) { return sim.read_of_initial(v, side) == at_zero; },
+          0.0, vdd, /*lo_verdict=*/true, {.x_tol = opt.tolerance})
+          .mid();
   return out;
 }
 

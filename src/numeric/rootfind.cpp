@@ -18,9 +18,16 @@ Bracket bisect_predicate_bracket(const std::function<bool(double)>& pred,
         "bisect_predicate: predicate does not flip over [%g, %g] (both %s)",
         lo, hi, plo ? "true" : "false"));
   }
+  return bisect_known_bracket(pred, lo, hi, plo, opt);
+}
+
+Bracket bisect_known_bracket(const std::function<bool(double)>& pred,
+                             double lo, double hi, bool lo_verdict,
+                             const BisectOptions& opt) {
+  require(lo < hi, "bisect: lo must be < hi");
   for (int i = 0; i < opt.max_iter && (hi - lo) > opt.x_tol; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (pred(mid) == plo)
+    if (pred(mid) == lo_verdict)
       lo = mid;
     else
       hi = mid;
@@ -63,12 +70,19 @@ double bisect_root(const std::function<double(double)>& f, double lo,
 double bisect_predicate_log(const std::function<bool(double)>& pred, double lo,
                             double hi, const BisectOptions& opt) {
   require(lo > 0.0 && hi > lo, "bisect_predicate_log: need 0 < lo < hi");
+  // x_tol is read in log-space, i.e. as a relative tolerance on x.
   auto pred_log = [&](double u) { return pred(std::exp(u)); };
-  BisectOptions log_opt = opt;
-  // Interpret x_tol as a relative tolerance in log-space.
-  log_opt.x_tol = opt.x_tol;
-  const double u = bisect_predicate(pred_log, std::log(lo), std::log(hi), log_opt);
-  return std::exp(u);
+  return std::exp(bisect_predicate(pred_log, std::log(lo), std::log(hi), opt));
+}
+
+double bisect_known_log(const std::function<bool(double)>& pred, double lo,
+                        double hi, bool lo_verdict, const BisectOptions& opt) {
+  require(lo > 0.0 && hi > lo, "bisect_known_log: need 0 < lo < hi");
+  auto pred_log = [&](double u) { return pred(std::exp(u)); };
+  return std::exp(
+      bisect_known_bracket(pred_log, std::log(lo), std::log(hi), lo_verdict,
+                           opt)
+          .mid());
 }
 
 }  // namespace dramstress::numeric

@@ -33,6 +33,15 @@ Bracket bisect_predicate_bracket(const std::function<bool(double)>& pred,
                                  double lo, double hi,
                                  const BisectOptions& opt = {});
 
+/// The bisection loop of bisect_predicate_bracket, for a caller that
+/// already holds both endpoint verdicts: pred(lo) == lo_verdict and
+/// pred(hi) == !lo_verdict.  Neither endpoint is re-evaluated, so a caller
+/// whose predicate is a transient saves two of them; the bracket is the
+/// one bisect_predicate_bracket returns for the same predicate.
+Bracket bisect_known_bracket(const std::function<bool(double)>& pred,
+                             double lo, double hi, bool lo_verdict,
+                             const BisectOptions& opt = {});
+
 /// Classic bisection for f(x) = 0 with f(lo), f(hi) of opposite sign.
 double bisect_root(const std::function<double(double)>& f, double lo,
                    double hi, const BisectOptions& opt = {});
@@ -41,5 +50,11 @@ double bisect_root(const std::function<double(double)>& f, double lo,
 /// resistance).  lo and hi must be positive and bracket the flip.
 double bisect_predicate_log(const std::function<bool(double)>& pred, double lo,
                             double hi, const BisectOptions& opt = {});
+
+/// bisect_predicate_log with known endpoint verdicts (see
+/// bisect_known_bracket): pred(lo) == lo_verdict, pred(hi) == !lo_verdict.
+double bisect_known_log(const std::function<bool(double)>& pred, double lo,
+                        double hi, bool lo_verdict,
+                        const BisectOptions& opt = {});
 
 }  // namespace dramstress::numeric

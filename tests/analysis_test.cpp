@@ -12,6 +12,8 @@
 #include "analysis/result_plane.hpp"
 #include "analysis/vsa.hpp"
 #include "analysis/vsa_cache.hpp"
+#include "dram/column_sim.hpp"
+#include "numeric/rootfind.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -65,6 +67,22 @@ TEST_F(AnalysisTest, VsaRespectsTolerance) {
   const VsaResult a = extract_vsa(sim, Side::True, {.tolerance = 50e-3});
   const VsaResult b = extract_vsa(sim, Side::True, {.tolerance = 2e-3});
   EXPECT_NEAR(a.threshold, b.threshold, 60e-3);
+}
+
+TEST_F(AnalysisTest, VsaBisectsOnItsEndpointReads) {
+  // Two endpoint reads decide the kind and are the bisection's endpoint
+  // verdicts: 2 + ceil(log2(2.4 V / 3 mV)) = 12 reads at the nominal corner,
+  // none of them repeated.
+  const long t0 = dram::thread_transients();
+  const VsaResult v = extract_vsa(sim, Side::True);
+  EXPECT_EQ(dram::thread_transients() - t0, 12);
+  // Same voltages probed as a plain bisection over the same predicate, so
+  // the same threshold bits.
+  const int at_zero = sim.read_of_initial(0.0, Side::True);
+  const double plain = numeric::bisect_predicate(
+      [&](double x) { return sim.read_of_initial(x, Side::True) == at_zero; },
+      0.0, nominal().vdd, {.x_tol = VsaOptions{}.tolerance});
+  EXPECT_EQ(v.threshold, plain);
 }
 
 // ---------------------------------------------------------------- planes

@@ -147,6 +147,33 @@ TEST(Rootfind, BracketWidthShrinks) {
   EXPECT_GE(br.hi, 0.5);
 }
 
+TEST(Rootfind, KnownBracketSkipsOnlyTheEndpointProbes) {
+  // A caller that already holds both endpoint verdicts gets the same
+  // bracket for exactly two fewer predicate calls.
+  long full_calls = 0;
+  long known_calls = 0;
+  const auto full = dn::bisect_predicate_bracket(
+      [&](double x) { ++full_calls; return x < 0.37; }, 0.0, 1.0,
+      {.x_tol = 1e-6});
+  const auto known = dn::bisect_known_bracket(
+      [&](double x) { ++known_calls; return x < 0.37; }, 0.0, 1.0,
+      /*lo_verdict=*/true, {.x_tol = 1e-6});
+  EXPECT_EQ(known.lo, full.lo);
+  EXPECT_EQ(known.hi, full.hi);
+  EXPECT_EQ(known_calls, full_calls - 2);
+}
+
+TEST(Rootfind, KnownLogMatchesPredicateLog) {
+  // Falling predicate (true below the flip): lo_verdict = true; and the
+  // rising mirror image with lo_verdict = false.
+  const auto below = [](double x) { return x < 185e3; };
+  const auto above = [](double x) { return x >= 185e3; };
+  EXPECT_EQ(dn::bisect_known_log(below, 1e3, 1e9, true, {.x_tol = 1e-6}),
+            dn::bisect_predicate_log(below, 1e3, 1e9, {.x_tol = 1e-6}));
+  EXPECT_EQ(dn::bisect_known_log(above, 1e3, 1e9, false, {.x_tol = 1e-6}),
+            dn::bisect_predicate_log(above, 1e3, 1e9, {.x_tol = 1e-6}));
+}
+
 TEST(Interp, EvaluatesAndExtrapolatesFlat) {
   dn::PiecewiseLinear f({0.0, 1.0, 2.0}, {0.0, 10.0, 0.0});
   EXPECT_DOUBLE_EQ(f(0.5), 5.0);

@@ -1,8 +1,9 @@
 // Surrogate-accelerated border search (src/analysis/surrogate):
 // root-search behaviour on synthetic margin curves (crossing location,
 // probe economy, fallback semantics), agreement of analyze_defect with the
-// classic scan+bisection on every Table-1 defect, the retired campaign
-// "surrogate" block, and thread-count determinism of a campaign.
+// classic scan+bisection on every Table-1 defect and at a hot corner, the
+// retired campaign "surrogate" block, and thread-count determinism of a
+// campaign.
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "dram/column.hpp"
 #include "dram/column_sim.hpp"
 #include "dram/technology.hpp"
+#include "obs/metrics.hpp"
 #include "stress/stress.hpp"
 #include "test_dirs.hpp"
 #include "util/json.hpp"
@@ -54,7 +56,7 @@ TEST(SurrogateRootSearchTest, FindsMonotoneSeriesCrossing) {
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
       probe, kRange, /*series=*/true, std::log(2e5), opt);
   ASSERT_TRUE(sr.br.has_value());
-  EXPECT_FALSE(sr.fell_back);
+  EXPECT_FALSE(sr.fell_back());
   EXPECT_FALSE(sr.fails_everywhere);
   // The bracket tolerance is opt.log_tol in ln R; allow twice that.
   EXPECT_NEAR(std::log(*sr.br), kX0, 2.0 * opt.log_tol);
@@ -73,7 +75,7 @@ TEST(SurrogateRootSearchTest, FindsMonotoneShuntCrossing) {
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
       probe, kRange, /*series=*/false, std::log(4e6), opt);
   ASSERT_TRUE(sr.br.has_value());
-  EXPECT_FALSE(sr.fell_back);
+  EXPECT_FALSE(sr.fell_back());
   EXPECT_NEAR(std::log(*sr.br), kX0, 2.0 * opt.log_tol);
   ASSERT_TRUE(sr.crossing_slope.has_value());
   EXPECT_GT(*sr.crossing_slope, 0.0);
@@ -86,7 +88,7 @@ TEST(SurrogateRootSearchTest, RangeWideVerdictsMatchClassicSemantics) {
       [](double) { return 0.5; }, kRange, /*series=*/true, kX0, opt);
   EXPECT_FALSE(never.br.has_value());
   EXPECT_FALSE(never.fails_everywhere);
-  EXPECT_FALSE(never.fell_back);
+  EXPECT_FALSE(never.fell_back());
   // Fails everywhere: br pins the failing extreme, like the classic scan.
   const SurrogateSearchResult always = analysis::surrogate_root_search(
       [](double) { return -0.5; }, kRange, /*series=*/true, kX0, opt);
@@ -111,7 +113,8 @@ TEST(SurrogateRootSearchTest, NonMonotoneSamplesForceFallback) {
   const BorderOptions opt;
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
       probe, kRange, /*series=*/true, x_start, opt);
-  EXPECT_TRUE(sr.fell_back);
+  EXPECT_TRUE(sr.fell_back());
+  EXPECT_EQ(sr.give_up, SurrogateSearchResult::GiveUp::Shape);
   ASSERT_TRUE(sr.bracket_lo.has_value());
   ASSERT_TRUE(sr.bracket_hi.has_value());
   // The bracket straddles the real flip at x_start + 1.0.
@@ -127,7 +130,8 @@ TEST(SurrogateRootSearchTest, ProbeBudgetExhaustionFallsBack) {
   const SurrogateSearchResult sr = analysis::surrogate_root_search(
       [&](double r) { return 0.8 * (kX0 - std::log(r)); }, kRange,
       /*series=*/true, std::log(kRange.lo), opt);
-  EXPECT_TRUE(sr.fell_back);
+  EXPECT_TRUE(sr.fell_back());
+  EXPECT_EQ(sr.give_up, SurrogateSearchResult::GiveUp::Budget);
   EXPECT_FALSE(sr.br.has_value());
   EXPECT_LE(sr.probes, 3);
 }
@@ -164,6 +168,33 @@ TEST(SurrogateAnalyzeTest, AgreesWithClassicOnAllTableOneDefects) {
   }
   // The whole point: same answers, meaningfully fewer transients.
   EXPECT_LT(surrogate_total, classic_total);
+}
+
+TEST(SurrogateAnalyzeTest, AgreesWithClassicAtHotCorner) {
+  // At +87 C the 100 us retention candidates fail the healthy column, and
+  // they predict the widest failing range.  Pruning must rank against the
+  // best *valid* prediction: pruned against an invalid winner, every valid
+  // candidate was skipped and "not detectable" re-ran the whole classic
+  // analysis as a fallback.
+  dram::DramColumn column;
+  dram::ColumnSimulator sim(column, {2.4, 87.0, 60e-9, 0.5});
+  const defect::Defect d{DefectKind::Sg, dram::Side::Comp};
+
+  long t0 = dram::thread_transients();
+  const BorderResult cr = analysis::classic_analyze_defect(column, d, sim);
+  const long classic = dram::thread_transients() - t0;
+
+  const long fallbacks = obs::metrics_snapshot().counter("surrogate.fallback");
+  t0 = dram::thread_transients();
+  const BorderResult sr = analysis::analyze_defect(column, d, sim);
+  const long surrogate = dram::thread_transients() - t0;
+  EXPECT_EQ(obs::metrics_snapshot().counter("surrogate.fallback"), fallbacks);
+
+  ASSERT_TRUE(cr.br.has_value());
+  ASSERT_TRUE(sr.br.has_value());
+  EXPECT_DOUBLE_EQ(*cr.br, *sr.br);
+  EXPECT_EQ(cr.condition.str(), sr.condition.str());
+  EXPECT_LT(surrogate, classic);
 }
 
 // --- campaign integration ------------------------------------------------

@@ -18,9 +18,9 @@
 // Every column transient runs on the ensemble engine with LTE-controlled
 // stepping; result planes batch their R points as lanes sized to the worker
 // pool.  There is no engine, stepping or lane switch, and results do not
-// depend on the lane count.  --lte-tol X sets the relative LTE tolerance
-// (default 5e-4; tighter tracks the fixed-step reference closer at the
-// cost of more steps).
+// depend on the lane count.  --lte-tol X (1e-8..1) sets the relative LTE
+// tolerance (default 5e-4; tighter tracks the fixed-step reference closer
+// at the cost of more steps).
 //
 // --verify runs the static netlist verification (docs/LINT.md) over the
 // column and every defect placeholder before the command, failing on
@@ -189,7 +189,10 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
     if (is_tol) {
       char* end = nullptr;
       const double tol = std::strtod(value, &end);
-      if (end == value || *end != '\0' || tol <= 0.0) return false;
+      // The bound of a campaign spec's "settings.lte_tol"; the negated
+      // test also rejects nan.
+      if (end == value || *end != '\0' || !(tol >= 1e-8 && tol <= 1.0))
+        return false;
       flags->lte_tol = tol;
       flags->analysis_only = true;
     } else if (is_r_points) {
