@@ -5,9 +5,9 @@
 //  * a complete memory operation cycle,
 //  * one Vsa extraction (the inner loop of every result plane),
 //  * the Fig. 2 plane set end to end: the seed serial path (the adaptive
-//    scalar engine one point at a time, 1 thread, no Vsa memoization) vs.
-//    the production engine (generate_plane_set: ensemble lanes on the pool
-//    + VsaCache),
+//    scalar engine one point at a time, 1 thread, Vsa extracted per
+//    plane) vs. the production engine (generate_plane_set: one sweep of
+//    ensemble lanes on the pool, one Vsa extraction per point),
 //  * the transient-engine ladder on the Fig. 2 plane workload (1 thread):
 //    seed fixed-dt dense vs fixed-dt sparse vs adaptive (LTE) + sparse,
 //    each one point at a time on the reference runner

@@ -148,25 +148,65 @@ BorderResult classic_find_border(dram::DramColumn& column,
   return finish();
 }
 
+std::vector<DetectionCondition> reference_candidates(
+    dram::DramColumn& column, const defect::Defect& d,
+    const dram::ColumnSimulator& sim, const BorderOptions& opt) {
+  // Construct the candidate conditions at a mid-range reference (their
+  // charging counts need a representative, not extreme, resistance).
+  const defect::SweepRange range = defect::default_sweep_range(d.kind);
+  const double k_reference = defect::is_series(d.kind)
+                                 ? std::sqrt(range.lo * range.hi)
+                                 : 10e3;
+  defect::Injection inj(column, d, k_reference);
+  return candidate_conditions(sim, d.side, opt.detection);
+}
+
+BorderResult refine_border(dram::DramColumn& column, const defect::Defect& d,
+                           const dram::ColumnSimulator& sim,
+                           const BorderOptions& opt, BorderResult result) {
+  const defect::SweepRange range = defect::default_sweep_range(d.kind);
+  for (int it = 0; it < opt.refine_iterations && result.br.has_value(); ++it) {
+    std::optional<DetectionCondition> refined;
+    {
+      defect::Injection inj(column, d, *result.br * (result.fault_at_high_r
+                                                         ? 1.05
+                                                         : 0.95));
+      refined = derive_detection_condition(sim, d.side, opt.detection);
+    }
+    if (refined.has_value() &&
+        !condition_valid_on_healthy(sim, d.side, *refined))
+      refined.reset();
+    if (!refined.has_value() || refined->str() == result.condition.str()) break;
+    // The refined condition's BR lands near the current one: warm-start.
+    BorderOptions refine_opt = opt;
+    refine_opt.bracket_hint = result.br;
+    BorderResult again =
+        classic_find_border(column, d, sim, *refined, range, refine_opt);
+    if (!again.br.has_value()) break;
+    // The refined crossing sits near the previous one, so the previous
+    // slope stays a usable warm-start hint downstream.
+    again.margin_slope = result.margin_slope;
+    util::log_debug(util::format(
+        "refine_border(%s): refined '%s' -> '%s', BR %s -> %s",
+        d.name().c_str(), result.condition.str().c_str(),
+        refined->str().c_str(), util::eng(*result.br, "Ohm").c_str(),
+        util::eng(*again.br, "Ohm").c_str()));
+    result = std::move(again);
+  }
+  return result;
+}
+
 BorderResult classic_analyze_defect(dram::DramColumn& column,
                                     const defect::Defect& d,
                                     const dram::ColumnSimulator& sim,
                                     const BorderOptions& opt) {
   OBS_SPAN("border.analyze");
   const defect::SweepRange range = defect::default_sweep_range(d.kind);
-  // Construct the candidate conditions at a mid-range reference (their
-  // charging counts need a representative, not extreme, resistance), then
-  // apply the paper's criterion: keep the condition whose failing
+  // Apply the paper's criterion: keep the condition whose failing
   // resistance range is widest.  Candidate order breaks near-ties
   // deterministically (transition conditions first).
-  const double k_reference = defect::is_series(d.kind)
-                                 ? std::sqrt(range.lo * range.hi)
-                                 : 10e3;
-  std::vector<DetectionCondition> candidates;
-  {
-    defect::Injection inj(column, d, k_reference);
-    candidates = candidate_conditions(sim, d.side, opt.detection);
-  }
+  const std::vector<DetectionCondition> candidates =
+      reference_candidates(column, d, sim, opt);
 
   BorderResult result;
   result.fault_at_high_r = defect::is_series(d.kind);
@@ -186,34 +226,7 @@ BorderResult classic_analyze_defect(dram::DramColumn& column,
     }
   }
   if (!result.br.has_value()) return result;  // not detectable by any candidate
-  // Iterate: the charging count that saturates the cell depends on the
-  // resistance; re-derive it at the found border.
-  for (int it = 0; it < opt.refine_iterations && result.br.has_value(); ++it) {
-    std::optional<DetectionCondition> refined;
-    {
-      defect::Injection inj(column, d, *result.br * (result.fault_at_high_r
-                                                         ? 1.05
-                                                         : 0.95));
-      refined = derive_detection_condition(sim, d.side, opt.detection);
-    }
-    if (refined.has_value() &&
-        !condition_valid_on_healthy(sim, d.side, *refined))
-      refined.reset();
-    if (!refined.has_value() || refined->str() == result.condition.str()) break;
-    // The refined condition's BR lands near the current one: warm-start.
-    BorderOptions refine_opt = opt;
-    refine_opt.bracket_hint = result.br;
-    const BorderResult again =
-        classic_find_border(column, d, sim, *refined, range, refine_opt);
-    if (!again.br.has_value()) break;
-    util::log_debug(util::format(
-        "classic_analyze_defect(%s): refined '%s' -> '%s', BR %s -> %s",
-        d.name().c_str(), result.condition.str().c_str(),
-        refined->str().c_str(), util::eng(*result.br, "Ohm").c_str(),
-        util::eng(*again.br, "Ohm").c_str()));
-    result = again;
-  }
-  return result;
+  return refine_border(column, d, sim, opt, std::move(result));
 }
 
 void append_json(util::json::Writer& w, const BorderResult& r,

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "analysis/detection.hpp"
 #include "defect/defect.hpp"
@@ -123,6 +124,21 @@ BorderResult classic_analyze_defect(dram::DramColumn& column,
                                     const defect::Defect& d,
                                     const dram::ColumnSimulator& sim,
                                     const BorderOptions& opt = {});
+
+/// The two Section-3 steps analyze_defect and classic_analyze_defect
+/// share.  reference_candidates builds the candidate conditions at a
+/// mid-range reference resistance of the defect's sweep range.
+std::vector<DetectionCondition> reference_candidates(
+    dram::DramColumn& column, const defect::Defect& d,
+    const dram::ColumnSimulator& sim, const BorderOptions& opt);
+
+/// refine_border re-derives the charging count just inside the border of
+/// `result` (a found BR) and re-searches classically, warm-started, until
+/// the condition stabilizes or opt.refine_iterations run out.  The
+/// refined result keeps `result`'s margin_slope.
+BorderResult refine_border(dram::DramColumn& column, const defect::Defect& d,
+                           const dram::ColumnSimulator& sim,
+                           const BorderOptions& opt, BorderResult result);
 
 /// Emit `r` as a JSON object (br, fault_at_high_r, fails_everywhere,
 /// condition, failing_decades over `range`) -- the campaign cache payload.

@@ -65,37 +65,44 @@ struct BatchState {
   VsaSeed seed;
 };
 
-}  // namespace
-
-ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
-                           const dram::ColumnSimulator& sim, OpKind op,
-                           const PlaneOptions& opt) {
-  OBS_SPAN("plane.generate");
+/// The R-grid sweep behind generate_plane and generate_plane_set: one
+/// plane per entry of `ops`, filled by one worker team.  Every plane
+/// carries the same Vsa(R) curve, so each lane batch extracts it once and
+/// then runs every plane's writes or reads on the same lanes.
+std::vector<ResultPlane> sweep_planes(dram::DramColumn& column,
+                                      const defect::Defect& d,
+                                      const dram::ColumnSimulator& sim,
+                                      const std::vector<OpKind>& ops,
+                                      const PlaneOptions& opt) {
   require(opt.num_r_points >= 2, "result plane: need >= 2 R points");
   require(opt.ops_per_point >= 1, "result plane: need >= 1 op");
   const double vdd = sim.conditions().vdd;
-
-  ResultPlane plane;
-  plane.op = op;
-  plane.vmp = 0.5 * vdd;
-  plane.r_values = numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
-
-  const size_t n_points = plane.r_values.size();
+  const std::vector<double> r_values =
+      numeric::logspace(opt.r_lo, opt.r_hi, opt.num_r_points);
+  const size_t n_points = r_values.size();
   const int n_ops = opt.ops_per_point;
+
+  std::vector<ResultPlane> planes(ops.size());
   const std::vector<double> empty_curve(n_points, 0.0);
-  for (int k = 0; k < n_ops; ++k) {
-    plane.curves.push_back({k + 1, false, empty_curve});
-    if (op == OpKind::R) plane.curves.push_back({k + 1, true, empty_curve});
+  for (size_t p = 0; p < ops.size(); ++p) {
+    ResultPlane& plane = planes[p];
+    plane.op = ops[p];
+    plane.vmp = 0.5 * vdd;
+    plane.r_values = r_values;
+    for (int k = 0; k < n_ops; ++k) {
+      plane.curves.push_back({k + 1, false, empty_curve});
+      if (plane.op == OpKind::R)
+        plane.curves.push_back({k + 1, true, empty_curve});
+    }
+    plane.vsa.assign(n_points, 0.0);
+    plane.vsa_raw.assign(n_points, VsaResult{});
   }
-  plane.vsa.assign(n_points, 0.0);
-  plane.vsa_raw.assign(n_points, VsaResult{});
 
   // Injection::set_value and waveform installation mutate column state, so
   // each worker sweeps its own clones, bound as the lanes of its batches;
-  // every R point writes only its own pre-sized slot, keeping results
+  // every R point writes only its own pre-sized slots, keeping results
   // bit-identical across thread and lane counts.
   const size_t batch = lanes_per_batch(n_points, opt);
-  const double r_init = plane.r_values.front();
   const size_t n_batches = (n_points + batch - 1) / batch;
   util::parallel_for_state(
       n_batches,
@@ -103,8 +110,8 @@ ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
         BatchState bs;
         bs.ctxs.reserve(batch);
         for (size_t k = 0; k < batch; ++k)
-          bs.ctxs.emplace_back(column.tech(), d, r_init, sim.conditions(),
-                               sim.settings());
+          bs.ctxs.emplace_back(column.tech(), d, r_values.front(),
+                               sim.conditions(), sim.settings());
         std::vector<const dram::ColumnSimulator*> sims;
         sims.reserve(batch);
         for (auto& c : bs.ctxs) sims.push_back(&c.sim());
@@ -116,102 +123,80 @@ ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
         const size_t begin = bi * batch;
         const size_t end = std::min(begin + batch, n_points);
         const size_t lanes_used = end - begin;
-        obs::count("plane.points", static_cast<long>(lanes_used));
+        obs::count("plane.points",
+                   static_cast<long>(lanes_used * planes.size()));
         std::vector<char> act(batch, 0);
         for (size_t k = 0; k < lanes_used; ++k) {
           act[k] = 1;
-          bs.ctxs[k].injection().set_value(plane.r_values[begin + k]);
+          bs.ctxs[k].injection().set_value(r_values[begin + k]);
         }
-
-        // Vsa per lane: serve cache hits, batch-extract the misses.
-        std::vector<VsaResult> vsa(batch);
-        std::vector<char> miss = act;
-        bool any_miss = false;
-        for (size_t k = 0; k < lanes_used; ++k) {
-          if (opt.vsa_cache != nullptr) {
-            const auto hit = opt.vsa_cache->lookup(
-                bs.ctxs[k].sim(), d, plane.r_values[begin + k], opt.vsa);
-            if (hit.has_value()) {
-              vsa[k] = *hit;
-              miss[k] = 0;
-              continue;
-            }
-          }
-          any_miss = true;
-        }
-        if (any_miss) {
-          const std::vector<VsaResult> extracted =
-              extract_vsa_batch(*bs.ens, d.side, opt.vsa, miss, &bs.seed);
-          for (size_t k = 0; k < lanes_used; ++k) {
-            if (miss[k] == 0) continue;
-            vsa[k] = extracted[k];
-            if (opt.vsa_cache != nullptr)
-              opt.vsa_cache->insert(bs.ctxs[k].sim(), d,
-                                    plane.r_values[begin + k], opt.vsa,
-                                    extracted[k]);
-          }
-        }
-        for (size_t k = 0; k < lanes_used; ++k) {
-          plane.vsa_raw[begin + k] = vsa[k];
-          plane.vsa[begin + k] = vsa[k].threshold;
-        }
+        const std::vector<VsaResult> vsa =
+            extract_vsa_batch(*bs.ens, d.side, opt.vsa, act, &bs.seed);
 
         // Probe runs never record a trace and stop after the last sample;
-        // the per-op cell voltages are all the plane consumes.
-        if (op == OpKind::R) {
-          const OpSequence reads(static_cast<size_t>(n_ops), Operation::r());
-          std::vector<double> below(batch, 0.0);
-          std::vector<double> above(batch, 0.0);
+        // the per-op cell voltages are all the planes consume.
+        for (ResultPlane& plane : planes) {
           for (size_t k = 0; k < lanes_used; ++k) {
-            below[k] =
-                std::max(0.0, vsa[k].threshold - opt.read_probe_offset);
-            above[k] =
-                std::min(vdd, vsa[k].threshold + opt.read_probe_offset);
+            plane.vsa_raw[begin + k] = vsa[k];
+            plane.vsa[begin + k] = vsa[k].threshold;
           }
-          const auto rb = bs.ens->run_batch(reads, d.side, below, act,
-                                            /*early_stop=*/true);
-          const auto ra = bs.ens->run_batch(reads, d.side, above, act,
-                                            /*early_stop=*/true);
-          for (size_t k = 0; k < lanes_used; ++k) {
-            for (int j = 0; j < n_ops; ++j) {
-              plane.curves[static_cast<size_t>(2 * j)].vc[begin + k] =
-                  rb[k].ops[static_cast<size_t>(j)].vc;
-              plane.curves[static_cast<size_t>(2 * j + 1)].vc[begin + k] =
-                  ra[k].ops[static_cast<size_t>(j)].vc;
+          if (plane.op == OpKind::R) {
+            const OpSequence reads(static_cast<size_t>(n_ops), Operation::r());
+            std::vector<double> below(batch, 0.0);
+            std::vector<double> above(batch, 0.0);
+            for (size_t k = 0; k < lanes_used; ++k) {
+              below[k] =
+                  std::max(0.0, vsa[k].threshold - opt.read_probe_offset);
+              above[k] =
+                  std::min(vdd, vsa[k].threshold + opt.read_probe_offset);
             }
+            const auto rb = bs.ens->run_batch(reads, d.side, below, act,
+                                              /*early_stop=*/true);
+            const auto ra = bs.ens->run_batch(reads, d.side, above, act,
+                                              /*early_stop=*/true);
+            for (size_t k = 0; k < lanes_used; ++k) {
+              for (int j = 0; j < n_ops; ++j) {
+                plane.curves[static_cast<size_t>(2 * j)].vc[begin + k] =
+                    rb[k].ops[static_cast<size_t>(j)].vc;
+                plane.curves[static_cast<size_t>(2 * j + 1)].vc[begin + k] =
+                    ra[k].ops[static_cast<size_t>(j)].vc;
+              }
+            }
+          } else {
+            const int target = plane.op == OpKind::W0 ? 0 : 1;
+            const double init = dram::physical_level(d.side, 1 - target, vdd);
+            const OpSequence writes(static_cast<size_t>(n_ops),
+                                    op_of(plane.op));
+            const std::vector<double> inits(batch, init);
+            const auto rr = bs.ens->run_batch(writes, d.side, inits, act,
+                                              /*early_stop=*/true);
+            for (size_t k = 0; k < lanes_used; ++k)
+              for (int j = 0; j < n_ops; ++j)
+                plane.curves[static_cast<size_t>(j)].vc[begin + k] =
+                    rr[k].ops[static_cast<size_t>(j)].vc;
           }
-        } else {
-          const int target = op == OpKind::W0 ? 0 : 1;
-          const double init = dram::physical_level(d.side, 1 - target, vdd);
-          const OpSequence writes(static_cast<size_t>(n_ops), op_of(op));
-          const std::vector<double> inits(batch, init);
-          const auto rr = bs.ens->run_batch(writes, d.side, inits, act,
-                                            /*early_stop=*/true);
-          for (size_t k = 0; k < lanes_used; ++k)
-            for (int j = 0; j < n_ops; ++j)
-              plane.curves[static_cast<size_t>(j)].vc[begin + k] =
-                  rr[k].ops[static_cast<size_t>(j)].vc;
         }
       },
       {.threads = opt.threads});
-  return plane;
+  return planes;
+}
+
+}  // namespace
+
+ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
+                           const dram::ColumnSimulator& sim, OpKind op,
+                           const PlaneOptions& opt) {
+  OBS_SPAN("plane.generate");
+  return std::move(sweep_planes(column, d, sim, {op}, opt).front());
 }
 
 PlaneSet generate_plane_set(dram::DramColumn& column, const defect::Defect& d,
                             const dram::ColumnSimulator& sim,
                             const PlaneOptions& opt) {
   OBS_SPAN("plane.generate_set");
-  // All three planes share one Vsa(R) curve: memoize it so each point is
-  // extracted once instead of once per plane.
-  VsaCache local_cache;
-  PlaneOptions shared = opt;
-  if (!shared.vsa_cache) shared.vsa_cache = &local_cache;
-
-  PlaneSet set;
-  set.w0 = generate_plane(column, d, sim, OpKind::W0, shared);
-  set.w1 = generate_plane(column, d, sim, OpKind::W1, shared);
-  set.r = generate_plane(column, d, sim, OpKind::R, shared);
-  return set;
+  std::vector<ResultPlane> planes = sweep_planes(
+      column, d, sim, {OpKind::W0, OpKind::W1, OpKind::R}, opt);
+  return {std::move(planes[0]), std::move(planes[1]), std::move(planes[2])};
 }
 
 std::optional<double> plane_border_resistance(const ResultPlane& write_plane,

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/vsa.hpp"
-#include "analysis/vsa_cache.hpp"
 #include "defect/defect.hpp"
 #include "dram/column_sim.hpp"
 #include "numeric/interp.hpp"
@@ -39,9 +38,6 @@ struct PlaneOptions {
   /// lanes so each worker gets one batch, at most 12 lanes each; > 0 pins
   /// the lane count (tests use it to exercise batch compositions).
   int batch = 0;
-  /// Optional Vsa(R) memoization shared across planes of the same defect
-  /// and corner (generate_plane_set supplies one automatically).
-  VsaCache* vsa_cache = nullptr;
 };
 
 /// One curve of the plane: Vc after the (op_number)-th operation vs R.
@@ -70,7 +66,9 @@ ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
                            const dram::ColumnSimulator& sim, dram::OpKind op,
                            const PlaneOptions& opt = {});
 
-/// Convenience: all three planes of Fig. 2 / Fig. 6.
+/// All three planes of Fig. 2 / Fig. 6 from one sweep over the R grid:
+/// each point's Vsa is extracted once and shared by the three planes,
+/// which equal three generate_plane calls bit for bit.
 struct PlaneSet {
   ResultPlane w0;
   ResultPlane w1;

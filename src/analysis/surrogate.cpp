@@ -9,8 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace dramstress::analysis {
 
@@ -528,13 +526,8 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
   OBS_SPAN("border.analyze");
   const SweepRange range = defect::default_sweep_range(d.kind);
   const bool series = defect::is_series(d.kind);
-  const double k_reference =
-      series ? std::sqrt(range.lo * range.hi) : 10e3;
-  std::vector<DetectionCondition> candidates;
-  {
-    Injection inj(column, d, k_reference);
-    candidates = candidate_conditions(sim, d.side, opt.detection);
-  }
+  const std::vector<DetectionCondition> candidates =
+      reference_candidates(column, d, sim, opt);
 
   const BorderSurrogate prior(column, d, sim, opt.surrogate);
 
@@ -709,39 +702,10 @@ BorderResult analyze_defect(dram::DramColumn& column, const defect::Defect& d,
     return classic_analyze_defect(column, d, sim, classic);
   }
 
-  // The classic refine loop, verbatim: derive the charging count at the
-  // found border and re-search classically (warm-started) until the
-  // condition stabilizes.  Running it through the classic search keeps the
-  // whole refine chain -- which the goldens pin -- identical to
+  // The classic refine chain: running it through the classic search keeps
+  // the whole chain -- which the goldens pin -- identical to
   // classic_analyze_defect's.
-  for (int it = 0; it < opt.refine_iterations && result.br.has_value(); ++it) {
-    std::optional<DetectionCondition> refined;
-    {
-      Injection inj(column, d,
-                    *result.br * (result.fault_at_high_r ? 1.05 : 0.95));
-      refined = derive_detection_condition(sim, d.side, opt.detection);
-    }
-    if (refined.has_value() &&
-        !condition_valid_on_healthy(sim, d.side, *refined))
-      refined.reset();
-    if (!refined.has_value() || refined->str() == result.condition.str())
-      break;
-    BorderOptions refine_opt = classic;
-    refine_opt.bracket_hint = result.br;
-    BorderResult again =
-        classic_find_border(column, d, sim, *refined, range, refine_opt);
-    if (!again.br.has_value()) break;
-    // The refined condition's crossing sits near the previous one, so the
-    // previous slope stays a usable warm-start hint downstream.
-    again.margin_slope = result.margin_slope;
-    util::log_debug(util::format(
-        "analyze_defect(%s): refined '%s' -> '%s', BR %s -> %s",
-        d.name().c_str(), result.condition.str().c_str(),
-        refined->str().c_str(), util::eng(*result.br, "Ohm").c_str(),
-        util::eng(*again.br, "Ohm").c_str()));
-    result = again;
-  }
-  return result;
+  return refine_border(column, d, sim, classic, std::move(result));
 }
 
 }  // namespace dramstress::analysis

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 
 #include "analysis/border.hpp"
@@ -11,7 +10,6 @@
 #include "analysis/fast_model.hpp"
 #include "analysis/result_plane.hpp"
 #include "analysis/vsa.hpp"
-#include "analysis/vsa_cache.hpp"
 #include "dram/column_sim.hpp"
 #include "numeric/rootfind.hpp"
 #include "util/error.hpp"
@@ -451,75 +449,4 @@ TEST_F(AnalysisTest, ConditionValidityOnHealthyColumn) {
   DetectionCondition nonsense = sane;
   nonsense.expected = 0;
   EXPECT_FALSE(condition_valid_on_healthy(sim, Side::True, nonsense));
-}
-
-// -------------------------------------------------------------- VsaCache
-
-TEST_F(AnalysisTest, VsaCacheHitIsBitwiseIdenticalAndCounted) {
-  const Defect d{DefectKind::O3, Side::True};
-  defect::Injection inj(col, d, 200e3);
-  VsaCache cache;
-  EXPECT_FALSE(cache.lookup(sim, d, 200e3).has_value());
-  const VsaResult first = extract_vsa(sim, d.side);
-  cache.insert(sim, d, 200e3, {}, first);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  const std::optional<VsaResult> again = cache.lookup(sim, d, 200e3);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // Bitwise identity, not mere closeness: sweeps rely on memoized values
-  // being indistinguishable from fresh extractions.
-  EXPECT_EQ(again->threshold, first.threshold);
-  EXPECT_EQ(again->kind, first.kind);
-  // And the cached value matches an uncached extraction exactly.
-  EXPECT_EQ(extract_vsa(sim, d.side).threshold, again->threshold);
-}
-
-TEST_F(AnalysisTest, VsaCacheKeyDistinguishesResistance) {
-  const Defect d{DefectKind::O3, Side::True};
-  defect::Injection inj(col, d, 100e3);
-  VsaCache cache;
-  cache.insert(sim, d, 100e3, {}, extract_vsa(sim, d.side));
-  inj.set_value(1e6);
-  EXPECT_FALSE(cache.lookup(sim, d, 1e6).has_value());
-  cache.insert(sim, d, 1e6, {}, extract_vsa(sim, d.side));
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  const std::optional<VsaResult> v100k = cache.lookup(sim, d, 100e3);
-  const std::optional<VsaResult> v1m = cache.lookup(sim, d, 1e6);
-  ASSERT_TRUE(v100k.has_value());
-  ASSERT_TRUE(v1m.has_value());
-  EXPECT_NE(v100k->threshold, v1m->threshold);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-}
-
-TEST_F(AnalysisTest, VsaCacheBypassesNonFiniteKeysWithoutInserting) {
-  // A NaN resistance (degenerate sweep bound) would break the cache map's
-  // strict weak ordering; the cache must neither look it up nor memoize
-  // it -- and must not touch the hit/miss counters.
-  const Defect d{DefectKind::O3, Side::True};
-  defect::Injection inj(col, d, 200e3);
-  VsaCache cache;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(cache.lookup(sim, d, nan).has_value());
-  const VsaResult r = extract_vsa(sim, d.side);
-  EXPECT_TRUE(std::isfinite(r.threshold));
-  cache.insert(sim, d, nan, {}, r);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  // A later finite lookup is a clean miss, not a poisoned hit.
-  EXPECT_FALSE(cache.lookup(sim, d, 200e3).has_value());
-  cache.insert(sim, d, 200e3, {}, r);
-  EXPECT_EQ(cache.misses(), 1u);
-  const std::optional<VsaResult> real = cache.lookup(sim, d, 200e3);
-  ASSERT_TRUE(real.has_value());
-  EXPECT_EQ(real->threshold, r.threshold);
 }

@@ -1,15 +1,12 @@
 // Determinism contract of the parallel sweep engine: every sweep writes
 // into pre-sized slots from per-worker column clones, so results are
-// bit-identical for every thread count, and the Vsa memoization returns
-// exactly what a fresh extraction would.  This test also runs under the
+// bit-identical for every thread count, and a plane set's shared Vsa(R)
+// pass equals one plane at a time.  This test also runs under the
 // DRAMSTRESS_SANITIZE=thread build, where it doubles as the structural
 // data-race check for the pool.
-#include <optional>
-
 #include <gtest/gtest.h>
 
 #include "analysis/result_plane.hpp"
-#include "analysis/vsa_cache.hpp"
 #include "stress/shmoo.hpp"
 #include "stress/stress.hpp"
 #include "stress/variation.hpp"
@@ -63,37 +60,30 @@ TEST(Determinism, PlaneSetIdenticalAcrossThreadCounts) {
   expect_identical(one.r, four.r);
 }
 
-TEST(Determinism, VsaCacheHitMatchesUncachedExtraction) {
+TEST(Determinism, PlaneSetExtractsVsaOncePerPoint) {
+  // A plane set pays for Vsa(R) once: on one thread its transients are the
+  // W0 plane's (Vsa + one write run per point) plus one W1 write run and
+  // two R read runs per point.
   const Defect d{DefectKind::O3, Side::True};
+  analysis::PlaneOptions opt = small_plane_options();
+  opt.num_r_points = 5;
+  opt.threads = 1;
   dram::DramColumn col;
-  defect::Injection inj(col, d, 200e3);
   dram::ColumnSimulator sim(col, stress::nominal_condition());
 
-  const analysis::VsaResult uncached = analysis::extract_vsa(sim, d.side);
-  analysis::VsaCache cache;
-  EXPECT_FALSE(cache.lookup(sim, d, 200e3).has_value());
-  cache.insert(sim, d, 200e3, {}, analysis::extract_vsa(sim, d.side));
-  const std::optional<analysis::VsaResult> hit = cache.lookup(sim, d, 200e3);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(hit->kind, uncached.kind);
-  EXPECT_DOUBLE_EQ(hit->threshold, uncached.threshold);
-
-  // A different resistance or tolerance is a different key.
-  analysis::VsaOptions coarse;
-  coarse.tolerance *= 2.0;
-  EXPECT_FALSE(cache.lookup(sim, d, 200e3, coarse).has_value());
-  inj.set_value(400e3);
-  EXPECT_FALSE(cache.lookup(sim, d, 400e3).has_value());
-  cache.insert(sim, d, 400e3, {}, analysis::extract_vsa(sim, d.side));
-  EXPECT_EQ(cache.size(), 2u);
+  long t0 = dram::thread_transients();
+  analysis::generate_plane(col, d, sim, dram::OpKind::W0, opt);
+  const long w0_plane = dram::thread_transients() - t0;
+  t0 = dram::thread_transients();
+  analysis::generate_plane_set(col, d, sim, opt);
+  const long plane_set = dram::thread_transients() - t0;
+  EXPECT_EQ(plane_set, w0_plane + 3 * opt.num_r_points);
 }
 
 TEST(Determinism, PlaneSetWithCacheMatchesCachelessPlanes) {
-  // generate_plane_set memoizes Vsa across its three planes; the planes it
-  // returns must match three independent uncached generate_plane calls.
+  // generate_plane_set extracts Vsa once for its three planes in one sweep;
+  // the planes it returns must match three independent generate_plane
+  // calls.
   const Defect d{DefectKind::O3, Side::True};
   const analysis::PlaneOptions opt = small_plane_options();
 

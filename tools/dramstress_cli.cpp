@@ -32,7 +32,8 @@
 // timing tree.  Schemas: docs/OBSERVABILITY.md.  --r-points N (2..512) sets
 // the resistance grid size of `planes` (default 15).
 //
-// The analysis commands reject any other argument that starts with "--".
+// The analysis commands reject any other argument that starts with "--",
+// a side other than true or comp, and any extra positional argument.
 // `campaign` and the service verbs parse their own flags and accept only
 // --threads, --metrics and --trace of the flags above: a campaign's
 // numerics come from its spec alone.
@@ -219,6 +220,18 @@ bool parse_defect(const char* s, defect::DefectKind* out) {
       *out = kind;
       return true;
     }
+  }
+  return false;
+}
+
+bool parse_side(const char* s, dram::Side* out) {
+  if (std::strcmp(s, "true") == 0) {
+    *out = dram::Side::True;
+    return true;
+  }
+  if (std::strcmp(s, "comp") == 0) {
+    *out = dram::Side::Comp;
+    return true;
   }
   return false;
 }
@@ -661,8 +674,9 @@ int run_service_verb(const std::string& cmd, int argc, char** argv) {
   return usage();
 }
 
-int run_command(const std::string& cmd, int argc, char** argv,
-                defect::Defect d, const EngineFlags& eng) {
+/// `r_arg` is ffm's resistance argument (null for the other commands).
+int run_command(const std::string& cmd, const char* r_arg, defect::Defect d,
+                const EngineFlags& eng) {
   const bool verify_only = eng.verify && cmd.empty();
   stress::OptimizerOptions options;
   options.settings.lte_tol = eng.lte_tol;
@@ -702,8 +716,7 @@ int run_command(const std::string& cmd, int argc, char** argv,
     return 0;
   }
   if (cmd == "ffm") {
-    if (argc < 5) return usage();
-    const double r = circuit::parse_spice_number(argv[4]);
+    const double r = circuit::parse_spice_number(r_arg);
     defect::Injection inj(flow.column(), d, r);
     dram::ColumnSimulator sim(flow.column(), flow.nominal(),
                               flow.options().settings);
@@ -713,9 +726,8 @@ int run_command(const std::string& cmd, int argc, char** argv,
     return 0;
   }
   if (cmd == "planes") {
-    // The three Fig. 2 planes of one defect at the nominal corner; the
-    // planes share one Vsa(R) memo, which also exercises the VsaCache
-    // counters the metrics smoke test asserts on.
+    // The three Fig. 2 planes of one defect at the nominal corner, from
+    // one sweep that extracts each point's Vsa once.
     analysis::PlaneOptions popt;
     popt.num_r_points = eng.r_points;
     dram::ColumnSimulator sim(flow.column(), flow.nominal(),
@@ -779,12 +791,19 @@ int main(int raw_argc, char** raw_argv) {
     } else {
       for (int i = 1; i < argc; ++i)
         if (std::strncmp(argv[i], "--", 2) == 0) return usage();
+      // Positionals: [defect] [side], then ffm's <R>; table1 takes none.
+      std::vector<const char*> pos(argv + std::min(argc, 2), argv + argc);
+      const char* r_arg = nullptr;
+      if (cmd == "ffm") {
+        if (pos.size() < 2) return usage();
+        r_arg = pos.back();
+        pos.pop_back();
+      }
+      if (pos.size() > (cmd == "table1" ? 0u : 2u)) return usage();
       defect::Defect d{defect::DefectKind::O3, dram::Side::True};
-      if (argc > 2 && !parse_defect(argv[2], &d.kind) && cmd != "table1")
-        return usage();
-      if (argc > 3 && std::strcmp(argv[3], "comp") == 0)
-        d.side = dram::Side::Comp;
-      rc = run_command(cmd, argc, argv, d, eng);
+      if (!pos.empty() && !parse_defect(pos[0], &d.kind)) return usage();
+      if (pos.size() > 1 && !parse_side(pos[1], &d.side)) return usage();
+      rc = run_command(cmd, r_arg, d, eng);
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

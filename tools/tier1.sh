@@ -53,6 +53,12 @@ ctest --test-dir build-obsoff --output-on-failure -R 'ObsTest'
 ./build-obsoff/tools/dramstress check-manifest "$manifest_dir/off.json"
 rm -rf "$manifest_dir"
 
+echo "=== tier-1: benchmark harness smoke ==="
+# benchmark/ builds its own binaries from the Release libraries and wraps
+# src/ symbols at link time, so a header or symbol it still includes or
+# names breaks here instead of in CI.
+python3 benchmark/run.py --smoke
+
 if [[ "$skip_tsan" == 1 ]]; then
   echo "=== tier-1: TSan stage skipped ==="
   exit 0
